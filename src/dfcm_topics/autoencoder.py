@@ -56,7 +56,7 @@ class AutoencoderModel:
 
 @dataclass
 class TrainConfig:
-    epochs: int
+    epochs: int = 100
     batch_size: int = 256
     learning_rate: float = 1e-3
     dropout_rate: float = 0.2

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -22,29 +23,32 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_TOP_KEYS = {"seed", "method", "dim", "clusters", "top_n", "fcm", "train", "paths", "compare"}
-_FCM_KEYS = {"fuzzifier", "max_iter", "eps", "init_runs"}
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "learning_rate", "dropout_rate", "optimizer",
-    "beta1", "beta2", "stabilizer", "momentum",
-}
-_PATH_KEYS = {"corpus", "stopwords", "vocabulary", "matrix", "embeddings", "out_dir"}
-_COMPARE_KEYS = {"methods", "clusters", "epochs"}
+# Config keys are the dataclass field names, except for these renames.
+_RENAMES = {"p": "dim", "c": "clusters", "f": "fuzzifier"}
+# detect flags are the config keys, except for these.
+_FLAG_RENAMES = {"dropout_rate": "dropout"}
+_PATH_FLAGS = ("matrix", "vocabulary", "out_dir")
 
-DEFAULTS = {
-    "method": "dfcm",
-    "dim": 5,
-    "clusters": 10,
-    "top_n": 10,
-    "fcm": {"fuzzifier": 1.1, "max_iter": 1000, "eps": 0.005, "init_runs": 10},
-    "train": {
-        "epochs": 100,
-        "batch_size": 256,
-        "learning_rate": 1e-3,
-        "dropout_rate": 0.2,
-        "optimizer": "adaptive_moments",
-    },
+# Config key -> (section, dataclass field); section "" is the top level. The
+# seed comes only from --seed, and fcm.c only from "clusters".
+_FIELDS = {
+    _RENAMES.get(f.name, f.name): (section, f)
+    for section, cls, skip in (
+        ("", topics.PipelineConfig, {"fcm", "train"}),
+        ("fcm", FcmConfig, {"c"}),
+        ("train", TrainConfig, set()),
+    )
+    for f in dataclasses.fields(cls)
+    if f.name not in {"seed", *skip}
 }
+# Section -> the keys it accepts.
+_KEYS = {
+    name: {key for key, (section, _) in _FIELDS.items() if section == name}
+    for name in ("", "fcm", "train")
+}
+_KEYS[""] |= {"fcm", "train", "paths", "compare"}
+_KEYS["paths"] = {*_PATH_FLAGS, "corpus", "stopwords", "embeddings"}
+_KEYS["compare"] = {"methods", "clusters", "epochs"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,14 +57,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
 def load_run_config(path) -> dict:
-    """Read and validate the JSON run configuration, applying defaults."""
+    """Read and validate the JSON run configuration, applying defaults.
+
+    The result maps each config key (of any section) to its value, plus
+    the "paths" and "compare" sections.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -68,86 +70,60 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    _check_keys(raw.get("fcm", {}), _FCM_KEYS, "config.fcm")
-    _check_keys(raw.get("train", {}), _TRAIN_KEYS, "config.train")
-    _check_keys(raw.get("paths", {}), _PATH_KEYS, "config.paths")
-    _check_keys(raw.get("compare", {}), _COMPARE_KEYS, "config.compare")
-    cfg = {
-        "seed": raw.get("seed"),
-        "method": raw.get("method", DEFAULTS["method"]),
-        "dim": raw.get("dim", DEFAULTS["dim"]),
-        "clusters": raw.get("clusters", DEFAULTS["clusters"]),
-        "top_n": raw.get("top_n", DEFAULTS["top_n"]),
-        "fcm": {**DEFAULTS["fcm"], **raw.get("fcm", {})},
-        "train": {**DEFAULTS["train"], **raw.get("train", {})},
-        "paths": dict(raw.get("paths", {})),
-        "compare": dict(raw.get("compare", {})),
-    }
-    if cfg["method"] not in ("dfcm", "efcm"):
-        raise ConfigError(f"config field 'method' must be 'dfcm' or 'efcm', got {cfg['method']!r}")
+    sections = {name: raw.get(name, {}) if name else raw for name in _KEYS}
+    for name, section in sections.items():
+        where = f"config.{name}".rstrip(".")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+        unknown = set(section) - _KEYS[name]
+        if unknown:
+            hint = " (the seed is set only by --seed)" if "seed" in unknown else ""
+            raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}{hint}")
+    cfg = {"paths": dict(sections["paths"]), "compare": dict(sections["compare"])}
+    for key, (section, f) in _FIELDS.items():
+        value = sections[section].get(key, f.default)
+        # JSON numbers without a fraction are ints, which a float field takes
+        # as they are; type() rather than isinstance() rejects bools.
+        if not (type(value) is f.type or f.type is float and type(value) is int):
+            where = f"{section}.{key}".lstrip(".")
+            raise ConfigError(f"config field '{where}' must be {f.type.__name__}, got {value!r}")
+        cfg[key] = value
+    for key, items in cfg["compare"].items():
+        if key == "methods":
+            valid, what = (lambda v: v in topics.METHODS), "/".join(topics.METHODS)
+        else:
+            valid, what = (lambda v: type(v) is int and v >= 1), "integers >= 1"
+        if not (isinstance(items, list) and items and all(map(valid, items))):
+            raise ConfigError(f"config.compare.{key} must be a non-empty list of {what}")
+    _pipeline_config(cfg, seed=0)
     return cfg
 
 
-def _pipeline_config(cfg: dict, seed: int, method=None, clusters=None, epochs=None):
-    method = method or cfg["method"]
-    c = clusters if clusters is not None else cfg["clusters"]
-    fcm_cfg = FcmConfig(
-        c=c,
-        f=cfg["fcm"]["fuzzifier"],
-        max_iter=cfg["fcm"]["max_iter"],
-        eps=cfg["fcm"]["eps"],
-        init_runs=cfg["fcm"]["init_runs"],
-    )
-    train_cfg = None
-    if method == "dfcm":
-        train = dict(cfg["train"])
-        if epochs is not None:
-            train["epochs"] = epochs
-        train_cfg = TrainConfig(**train)
-    return topics.PipelineConfig(
-        method=method,
-        p=cfg["dim"],
-        c=c,
-        fcm=fcm_cfg,
-        train=train_cfg,
-        top_n=cfg["top_n"],
-        seed=seed,
-    )
+def _pipeline_config(cfg: dict, seed: int) -> topics.PipelineConfig:
+    """Build the pipeline dataclasses; raises ConfigError on an invalid value."""
+    kwargs = {"": {}, "fcm": {}, "train": {}}
+    for key, (section, f) in _FIELDS.items():
+        kwargs[section][f.name] = cfg[key]
+    try:
+        train = TrainConfig(**kwargs["train"])  # checked for EFCM runs too
+        return topics.PipelineConfig(
+            **kwargs[""],
+            fcm=FcmConfig(**kwargs["fcm"]),
+            train=train if cfg["method"] == "dfcm" else None,
+            seed=seed,
+        )
+    except (ValueError, DfcmError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    over = {
-        "method": args.method,
-        "dim": args.dim,
-        "clusters": args.clusters,
-        "top_n": args.top_n,
-    }
-    for key, val in over.items():
-        if val is not None:
-            cfg[key] = val
-    fcm_over = {
-        "fuzzifier": args.fuzzifier,
-        "max_iter": args.max_iter,
-        "eps": args.eps,
-        "init_runs": args.init_runs,
-    }
-    for key, val in fcm_over.items():
-        if val is not None:
-            cfg["fcm"][key] = val
-    train_over = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "dropout_rate": args.dropout,
-    }
-    for key, val in train_over.items():
-        if val is not None:
-            cfg["train"][key] = val
-    for key in ("matrix", "vocabulary", "embeddings", "out_dir"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg["paths"][key] = val
+    for key in _FIELDS:
+        value = getattr(args, _FLAG_RENAMES.get(key, key))
+        if value is not None:
+            cfg[key] = value
+    for key in _PATH_FLAGS:
+        if getattr(args, key) is not None:
+            cfg["paths"][key] = getattr(args, key)
     return cfg
 
 
@@ -214,8 +190,8 @@ def _run_detection(vocab, dtm, pipe_cfg, out: Path):
 
 def cmd_detect(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    vocab, dtm = _load_artifacts(cfg)
     pipe_cfg = _pipeline_config(cfg, args.seed)
+    vocab, dtm = _load_artifacts(cfg)
     out = Path(_require_path(cfg, "out_dir"))
     result = _run_detection(vocab, dtm, pipe_cfg, out)
     for warning in result.topic_set.warnings:
@@ -238,9 +214,9 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     comp = cfg["compare"]
-    methods = comp.get("methods", ["dfcm", "efcm"])
+    methods = comp.get("methods", list(topics.METHODS))
     cluster_list = comp.get("clusters", [cfg["clusters"]])
-    epoch_list = comp.get("epochs", [cfg["train"]["epochs"]])
+    epoch_list = comp.get("epochs", [cfg["epochs"]])
     vocab, dtm = _load_artifacts(cfg)
     store = coherence.load_word_vectors(_require_path(cfg, "embeddings"))
     out = Path(_require_path(cfg, "out_dir"))
@@ -252,43 +228,26 @@ def cmd_compare(args) -> int:
             for epochs in epoch_list:
                 cell_seed = stage_seed(args.seed, method, c, epochs)
                 cell_dir = out / f"{method}_c{c}_e{epochs}"
+                cell = {**cfg, "method": method, "clusters": c, "epochs": epochs}
+                row = {"method": method, "p": cfg["dim"], "c": c,
+                       "epochs": epochs if method == "dfcm" else "",
+                       "mean_score": "", "topic_scores": "", "status": "ok"}
                 try:
-                    pipe_cfg = _pipeline_config(
-                        cfg, cell_seed, method=method, clusters=c, epochs=epochs
-                    )
+                    pipe_cfg = _pipeline_config(cell, cell_seed)
                     result = _run_detection(vocab, dtm, pipe_cfg, cell_dir)
                     report = coherence.evaluate(result.topic_set, store)
-                    rows.append({
-                        "method": method,
-                        "p": cfg["dim"],
-                        "c": c,
-                        "epochs": epochs if method == "dfcm" else "",
-                        "mean_score": f"{report.mean_score:.17g}",
-                        "topic_scores": ";".join(
-                            f"{s:.17g}" for _, s, _ in report.per_topic
-                        ),
-                        "status": "ok",
-                    })
+                    row["mean_score"] = f"{report.mean_score:.17g}"
+                    row["topic_scores"] = ";".join(f"{s:.17g}" for _, s, _ in report.per_topic)
                 except DfcmError as exc:
                     log.error("cell (%s, c=%d, epochs=%s) failed: %s", method, c, epochs, exc)
-                    rows.append({
-                        "method": method,
-                        "p": cfg["dim"],
-                        "c": c,
-                        "epochs": epochs if method == "dfcm" else "",
-                        "mean_score": "",
-                        "topic_scores": "",
-                        "status": f"error: {exc}",
-                    })
+                    row["status"] = f"error: {exc}"
+                rows.append(row)
                 if method == "efcm":
                     break  # epochs are a DFCM-only axis
 
     csv_path = out / "compare.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["method", "p", "c", "epochs", "mean_score", "topic_scores", "status"],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {csv_path} ({len(rows)} cells)")
@@ -308,21 +267,12 @@ def build_parser() -> _Parser:
     det = sub.add_parser("detect", help="run a topic-detection pipeline")
     det.add_argument("--config", required=True, help="run configuration JSON")
     det.add_argument("--seed", type=int, required=True)
-    det.add_argument("--method", choices=["dfcm", "efcm"])
-    det.add_argument("--dim", type=int, help="low-dimensional representation size p")
-    det.add_argument("--clusters", type=int, help="number of topics c")
-    det.add_argument("--fuzzifier", type=float)
-    det.add_argument("--max-iter", type=int)
-    det.add_argument("--eps", type=float)
-    det.add_argument("--init-runs", type=int)
-    det.add_argument("--epochs", type=int)
-    det.add_argument("--batch-size", type=int)
-    det.add_argument("--learning-rate", type=float)
-    det.add_argument("--dropout", type=float)
-    det.add_argument("--top-n", type=int)
-    det.add_argument("--matrix")
-    det.add_argument("--vocabulary")
-    det.add_argument("--out-dir")
+    for key, (section, f) in _FIELDS.items():
+        flag, where = _FLAG_RENAMES.get(key, key), f"{section}.{key}".lstrip(".")
+        det.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=f.type,
+                         help=f"overrides config {where} (default {f.default})")
+    for key in _PATH_FLAGS:
+        det.add_argument(f"--{key.replace('_', '-')}", help=f"overrides config paths.{key}")
     det.set_defaults(func=cmd_detect)
 
     ev = sub.add_parser("evaluate", help="score a topic set with TC-W2V")

@@ -21,7 +21,7 @@ KMEANS_MAX_ITER = 300
 
 @dataclass
 class FcmConfig:
-    c: int
+    c: int = 10
     f: float = 1.1
     max_iter: int = 1000
     eps: float = 0.005

@@ -229,17 +229,30 @@ def load_matrix(path) -> DocTermMatrix:
         header = fh.readline().split()
         if len(header) != 3:
             raise MalformedLineError("header must be 'n_docs n_terms nnz'", 1)
-        n_docs, n_terms, nnz = (int(x) for x in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise MalformedLineError(
-                    f"line {i + 2}: expected 'row col weight'", i + 2
-                )
-            rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
+        i = -1  # entry i is on line i + 2, so the header is line 1
+        try:
+            n_docs, n_terms, nnz = (int(x) for x in header)
+            rows = np.empty(nnz, dtype=np.int64)
+            cols = np.empty(nnz, dtype=np.int64)
+            vals = np.empty(nnz, dtype=np.float64)
+            for i in range(nnz):
+                parts = fh.readline().split()
+                if len(parts) != 3:
+                    raise MalformedLineError(
+                        f"line {i + 2}: expected 'row col weight'", i + 2
+                    )
+                rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
+        except (ValueError, OverflowError) as exc:  # overflow: an index past int64
+            raise MalformedLineError(f"line {i + 2}: {exc}", i + 2) from exc
+    # Checked on whole arrays, which keeps per-line work out of the parse loop.
+    for bad, what in (
+        ((rows < 0) | (rows >= n_docs), f"row index outside [0, {n_docs})"),
+        ((cols < 0) | (cols >= n_terms), f"column index outside [0, {n_terms})"),
+        (~np.isfinite(vals) | (vals < 0), "weight must be finite and >= 0"),
+    ):
+        if bad.any():
+            line = int(np.argmax(bad)) + 2
+            raise MalformedLineError(f"line {line}: {what}", line)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms))
     return DocTermMatrix(mat)
 

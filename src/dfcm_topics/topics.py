@@ -6,7 +6,7 @@ to term space, rectify to nonnegative weights, and rank topic words.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,25 +18,27 @@ from .seeding import stage_seed
 from .textprep import DocTermMatrix, Vocabulary
 
 
+METHODS = ("dfcm", "efcm")
+
+
 @dataclass
 class PipelineConfig:
-    method: str  # "dfcm" | "efcm"
-    p: int
-    c: int
-    fcm: FcmConfig = None
+    method: str = "dfcm"  # one of METHODS
+    p: int = 5
+    c: int = 10
+    fcm: FcmConfig = None  # its c is always set from c
     train: ae.TrainConfig = None  # dfcm only
     top_n: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("dfcm", "efcm"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.p < 1 or self.c < 1 or self.top_n < 1:
             raise ValueError("p, c and top_n must be >= 1")
-        if self.fcm is None:
-            self.fcm = FcmConfig(c=self.c)
+        self.fcm = FcmConfig(c=self.c) if self.fcm is None else replace(self.fcm, c=self.c)
         if self.train is None and self.method == "dfcm":
-            self.train = ae.TrainConfig(epochs=100)
+            self.train = ae.TrainConfig()
 
 
 @dataclass
@@ -92,27 +94,11 @@ def _build_topic_set(topic_vectors, vocab, method, cfg, extra_warnings=()):
         if warn:
             warnings.append(f"topic {i}: {warn}")
         topics.append(Topic(words, i))
-    snapshot = {
-        "method": method,
-        "p": cfg.p,
-        "c": cfg.c,
-        "top_n": cfg.top_n,
-        "seed": cfg.seed,
-        "fcm": vars(cfg.fcm),
-        "train": None if cfg.train is None else vars(cfg.train),
-    }
-    return TopicSet(topics, method, snapshot, warnings)
+    return TopicSet(topics, method, asdict(cfg), warnings)
 
 
 def _cluster(X: np.ndarray, cfg: PipelineConfig) -> FcmResult:
-    fcm_cfg = FcmConfig(
-        c=cfg.c,
-        f=cfg.fcm.f,
-        max_iter=cfg.fcm.max_iter,
-        eps=cfg.fcm.eps,
-        seed=stage_seed(cfg.seed, "fcm-init"),
-        init_runs=cfg.fcm.init_runs,
-    )
+    fcm_cfg = replace(cfg.fcm, seed=stage_seed(cfg.seed, "fcm-init"))
     init = kmeans_init(X, fcm_cfg.c, fcm_cfg.init_runs, fcm_cfg.seed)
     return fcm_fit(X, fcm_cfg, init=init)
 
@@ -120,7 +106,7 @@ def _cluster(X: np.ndarray, cfg: PipelineConfig) -> FcmResult:
 def dfcm_detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
     """Autoencoder pipeline: train, encode, cluster, decode, rectify, rank."""
     assert cfg.method == "dfcm"
-    train_cfg = ae.TrainConfig(**{**vars(cfg.train), "seed": stage_seed(cfg.seed, "train")})
+    train_cfg = replace(cfg.train, seed=stage_seed(cfg.seed, "train"))
     model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
     ae.greedy_pretrain(D.matrix, model, train_cfg)
     model, trace = ae.fine_tune(D.matrix, model, train_cfg)

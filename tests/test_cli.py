@@ -1,7 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
+from dfcm_topics import textprep
+from dfcm_topics.autoencoder import TrainConfig
 from dfcm_topics.cli import main
 from dfcm_topics.errors import ConfigError
+from dfcm_topics.errors import MalformedLineError
+from dfcm_topics.fcm import FcmConfig
+from dfcm_topics.topics import PipelineConfig
 import dfcm_topics.cli as cli
 
 import pytest
@@ -177,3 +185,136 @@ class TestCompare:
         lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 methods x 2 cluster counts
         assert lines[0].startswith("method,p,c,epochs,mean_score")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"clusters": "3"}, "clusters"),
+    ({"dim": True}, "dim"),
+    ({"fcm": []}, "config.fcm"),
+    ({"train": {"epochs": 1.5}}, "train.epochs"),
+    ({"fcm": {"max_iter": 2.5}}, "fcm.max_iter"),
+    ({"train": {"optimizer": "bogus"}}, "optimizer"),  # an EFCM run
+    ({"fcm": {"fuzzifier": 1.0}}, "fuzzification"),
+])
+def test_malformed_config_value_is_a_config_error(artifacts, tmp_path, caplog, overrides, named):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, **overrides)
+    # main returns instead of raising: no traceback reaches the user.
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert named in caplog.text
+    assert not out.exists()
+
+
+def test_int_for_float_field_kept_in_snapshot(artifacts, tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, fcm={"fuzzifier": 2})
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == 0
+    snapshot = json.loads((out / "topics.json").read_text())["config"]
+    assert type(snapshot["fcm"]["f"]) is int and snapshot["fcm"]["f"] == 2
+
+
+def test_seed_in_config_rejected_in_favour_of_flag(artifacts, tmp_path, caplog):
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", seed=5)
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert "--seed" in caplog.text
+
+
+def test_json_only_train_fields_have_flags(artifacts, tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_config(
+        tmp_path / "cfg.json", artifacts, out, method="dfcm", train={"epochs": 1}
+    )
+    rc = main([
+        "detect", "--config", str(cfg), "--seed", "1",
+        "--optimizer", "sgd_momentum", "--beta1", "0.8", "--beta2", "0.99",
+        "--stabilizer", "1e-6", "--momentum", "0.5",
+    ])
+    assert rc == 0
+    train = json.loads((out / "topics.json").read_text())["config"]["train"]
+    assert train["optimizer"] == "sgd_momentum"
+    assert (train["beta1"], train["beta2"], train["stabilizer"], train["momentum"]) == (
+        0.8, 0.99, 1e-6, 0.5
+    )
+
+
+@pytest.mark.parametrize("compare", [
+    {"methods": "efcm"},
+    {"methods": ["lda"]},
+    {"methods": []},
+    {"clusters": [0]},
+    {"clusters": [True]},
+    {"epochs": [1.5]},
+])
+def test_compare_section_checked_before_inputs_are_read(tmp_path, compare):
+    # The input paths do not exist: reading them first would be a data error.
+    out = tmp_path / "sweep"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "method": "efcm",
+        "compare": compare,
+        "paths": {
+            "vocabulary": str(tmp_path / "missing.json"),
+            "matrix": str(tmp_path / "missing.txt"),
+            "embeddings": str(tmp_path / "missing.vec"),
+            "out_dir": str(out),
+        },
+    }))
+    assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert not (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["dfcm", "efcm"])
+@pytest.mark.parametrize("column, value, named", [
+    (2, "nan", "weight"),
+    (2, "-0.5", "weight"),
+    (1, "{n_terms}", "column"),
+    (0, "x1", "x1"),
+])
+def test_malformed_matrix_line_is_a_data_error(artifacts, tmp_path, method, column, value, named):
+    lines = (artifacts / "matrix.txt").read_text().splitlines()
+    parts = lines[4].split()
+    parts[column] = value.format(n_terms=lines[0].split()[1])
+    lines[4] = " ".join(parts)
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedLineError, match=named) as err:
+        textprep.load_matrix(matrix)
+    assert err.value.line_number == 5
+    cfg = _write_config(
+        tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
+        paths={"matrix": str(matrix)},
+    )
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+
+
+def test_readme_config_example_loads(tmp_path):
+    examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(examples) == 1
+    path = tmp_path / "run.json"
+    path.write_text(examples[0])
+    cli.load_run_config(path)
+
+
+def test_detect_help_lists_one_flag_per_config_field(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+    settable = [
+        f
+        for cls, skip in (
+            (PipelineConfig, {"fcm", "train"}), (FcmConfig, {"c"}), (TrainConfig, set())
+        )
+        for f in dataclasses.fields(cls)
+        if f.name not in {"seed", *skip}
+    ]
+    assert len(settable) == 17
+    other = {"--config", "--seed", "--matrix", "--vocabulary", "--out-dir"}
+    assert other <= flags
+    assert len(flags - other) == len(settable)
+    readme = README.read_text()
+    overrides = sorted(flags - {"--config", "--seed"})
+    assert [flag for flag in overrides if f"`{flag}`" not in readme] == []
