@@ -43,38 +43,35 @@ def load_word_vectors(path, expected_dim: int | None = None) -> WordVectorStore:
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    start = 0
-    head = lines[0].split() if lines else []
-    if len(head) == 2 and all(p.isdigit() for p in head):
-        start = 1
-        if dim is None:
-            dim = int(head[1])
-        elif int(head[1]) != dim:
-            raise DimensionMismatchError(
-                f"header declares dim {head[1]}, expected {dim}"
-            )
-    for lineno0, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        term, values = fields[0], fields[1:]
-        if dim is None:
-            dim = len(values)
-        if len(values) != dim:
-            raise MalformedLineError(
-                f"line {lineno0}: expected {dim} values, got {len(values)}",
-                lineno0,
-            )
-        if term in vectors:
-            log.warning("duplicate term %r at line %d ignored", term, lineno0)
-            continue
-        try:
-            vectors[term] = np.array([float(v) for v in values])
-        except ValueError as exc:
-            raise MalformedLineError(
-                f"line {lineno0}: non-numeric value ({exc})", lineno0
-            ) from exc
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if lineno == 1 and len(fields) == 2 and all(p.isdigit() for p in fields):
+                if dim is None:
+                    dim = int(fields[1])
+                elif int(fields[1]) != dim:
+                    raise DimensionMismatchError(
+                        f"header declares dim {fields[1]}, expected {dim}"
+                    )
+                continue
+            if not fields:
+                continue
+            term, values = fields[0], fields[1:]
+            if dim is None:
+                dim = len(values)
+            if len(values) != dim:
+                raise MalformedLineError(
+                    f"line {lineno}: expected {dim} values, got {len(values)}",
+                    lineno,
+                )
+            if term in vectors:
+                log.warning("duplicate term %r at line %d ignored", term, lineno)
+                continue
+            try:
+                vectors[term] = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise MalformedLineError(
+                    f"line {lineno}: non-numeric value ({exc})", lineno
+                ) from exc
     if dim is None or not vectors:
         raise MalformedLineError("embedding file is empty")
     return WordVectorStore(dim, vectors)

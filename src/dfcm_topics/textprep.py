@@ -183,13 +183,14 @@ def read_corpus_jsonl(path) -> list[dict]:
                 raise MalformedLineError(
                     f"line {lineno}: expected object with 'id' and 'text'", lineno
                 )
-            if not obj["id"] or obj["id"] in seen:
+            doc_id = str(obj["id"])  # 5 and "5" are the same id
+            if not obj["id"] or doc_id in seen:
                 raise MalformedLineError(
                     f"line {lineno}: duplicate or empty document id {obj['id']!r}",
                     lineno,
                 )
-            seen.add(obj["id"])
-            docs.append({"id": str(obj["id"]), "text": str(obj["text"])})
+            seen.add(doc_id)
+            docs.append({"id": doc_id, "text": str(obj["text"])})
     return docs
 
 
@@ -204,10 +205,25 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
         fh.write("\n")
 
 
+def load_json(path, build):
+    """Parse a JSON file and return build(payload).
+
+    Invalid JSON, or a key that build misses or finds of the wrong type,
+    raises MalformedLineError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(f"{path}: invalid JSON ({exc})", exc.lineno) from exc
+    except KeyError as exc:
+        raise MalformedLineError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise MalformedLineError(f"{path}: malformed content ({exc})") from exc
+
+
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return Vocabulary(payload["terms"], payload["doc_freq"], payload["threshold"])
+    return load_json(path, lambda d: Vocabulary(d["terms"], d["doc_freq"], d["threshold"]))
 
 
 def save_matrix(dtm: DocTermMatrix, path) -> None:
@@ -244,6 +260,10 @@ def load_matrix(path) -> DocTermMatrix:
                 rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
         except (ValueError, OverflowError) as exc:  # overflow: an index past int64
             raise MalformedLineError(f"line {i + 2}: {exc}", i + 2) from exc
+        rest = fh.read()
+    if rest.strip():
+        line = nnz + 2 + rest[: len(rest) - len(rest.lstrip())].count("\n")
+        raise MalformedLineError(f"line {line}: entry past the header's nnz {nnz}", line)
     # Checked on whole arrays, which keeps per-line work out of the parse loop.
     for bad, what in (
         ((rows < 0) | (rows >= n_docs), f"row index outside [0, {n_docs})"),
@@ -254,6 +274,13 @@ def load_matrix(path) -> DocTermMatrix:
             line = int(np.argmax(bad)) + 2
             raise MalformedLineError(f"line {line}: {what}", line)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms))
+    if mat.nnz < nnz:  # scipy summed duplicate (row, col) entries into one
+        _, first = np.unique(np.stack([rows, cols], axis=1), axis=0, return_index=True)
+        dup = np.ones(nnz, dtype=bool)
+        dup[first] = False
+        line = int(np.argmax(dup)) + 2
+        where = f"({rows[line - 2]}, {cols[line - 2]})"
+        raise MalformedLineError(f"line {line}: duplicate entry {where}", line)
     return DocTermMatrix(mat)
 
 

@@ -15,7 +15,7 @@ from . import svd as tsvd
 from .errors import DimensionMismatchError
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .seeding import stage_seed
-from .textprep import DocTermMatrix, Vocabulary
+from .textprep import DocTermMatrix, Vocabulary, load_json
 
 
 METHODS = ("dfcm", "efcm")
@@ -44,7 +44,6 @@ class PipelineConfig:
 @dataclass
 class Topic:
     words: list[tuple[str, float]]  # weight-descending
-    full_vector_id: int  # row index into the stored topic-vector matrix
 
 
 @dataclass
@@ -93,7 +92,7 @@ def _build_topic_set(topic_vectors, vocab, method, cfg, extra_warnings=()):
         words, warn = extract_top_words(mu, vocab, cfg.top_n)
         if warn:
             warnings.append(f"topic {i}: {warn}")
-        topics.append(Topic(words, i))
+        topics.append(Topic(words))
     return TopicSet(topics, method, asdict(cfg), warnings)
 
 
@@ -141,10 +140,10 @@ def save_topic_set(topic_set: TopicSet, path) -> None:
         "config": topic_set.config,
         "topics": [
             {
-                "index": t.full_vector_id,
+                "index": i,  # row of the topic-vector matrix
                 "words": [{"term": term, "weight": weight} for term, weight in t.words],
             }
-            for t in topic_set.topics
+            for i, t in enumerate(topic_set.topics)
         ],
         "warnings": topic_set.warnings,
     }
@@ -154,10 +153,12 @@ def save_topic_set(topic_set: TopicSet, path) -> None:
 
 
 def load_topic_set(path) -> TopicSet:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    topics = [
-        Topic([(w["term"], w["weight"]) for w in t["words"]], t["index"])
-        for t in payload["topics"]
-    ]
-    return TopicSet(topics, payload["method"], payload["config"], payload["warnings"])
+    """Topics are read in file order; a topic's position is its index."""
+
+    def build(payload):
+        topics = [
+            Topic([(w["term"], w["weight"]) for w in t["words"]]) for t in payload["topics"]
+        ]
+        return TopicSet(topics, payload["method"], payload["config"], payload["warnings"])
+
+    return load_json(path, build)

@@ -186,6 +186,18 @@ class TestTraining:
         assert H1.shape == (16, 5)
         assert np.all(np.isfinite(model.encoder_layers[1].weights))
 
+    def test_greedy_pretrain_trains_model_layers_in_place(self):
+        X = np.random.default_rng(0).normal(size=(16, 6))
+        model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
+        encoder, decoder = list(model.encoder_layers), list(model.decoder_layers)
+        initial = [layer.weights.copy() for layer in encoder + decoder]
+        ae.greedy_pretrain(X, model, ae.TrainConfig(epochs=2, batch_size=8, seed=3))
+        for i in range(len(encoder)):
+            assert model.encoder_layers[i] is encoder[i]
+            assert model.decoder_layers[i] is decoder[i]
+        for layer, w0 in zip(model.layers, initial):
+            assert not np.array_equal(layer.weights, w0)
+
     def test_smoke_full_pretrain_tiny(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(16, 20))

@@ -290,6 +290,66 @@ def test_malformed_matrix_line_is_a_data_error(artifacts, tmp_path, method, colu
     assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("method", ["dfcm", "efcm"])
+@pytest.mark.parametrize("case, named", [
+    ("duplicate", "duplicate entry"),
+    ("trailing line", "past the header's nnz"),
+], ids=["duplicate", "trailing-line"])
+def test_matrix_entries_must_match_header_nnz(artifacts, tmp_path, method, case, named):
+    lines = (artifacts / "matrix.txt").read_text().splitlines()
+    if case == "duplicate":  # line 6 repeats line 5's (row, col)
+        row, col, _ = lines[4].split()
+        lines[5], bad_line = f"{row} {col} 2.0", 6
+    else:
+        lines.append(lines[-1])
+        bad_line = len(lines)
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedLineError, match=named) as err:
+        textprep.load_matrix(matrix)
+    assert err.value.line_number == bad_line
+    cfg = _write_config(
+        tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
+        paths={"matrix": str(matrix)},
+    )
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text.replace('"doc_freq"', '"doc_freqs"'), "'doc_freq'"),
+    (_truncate, "invalid JSON"),
+], ids=["missing-key", "invalid-json"])
+def test_malformed_vocabulary_is_a_data_error(artifacts, tmp_path, caplog, edit, named):
+    vocab = tmp_path / "vocabulary.json"
+    vocab.write_text(edit((artifacts / "vocabulary.json").read_text()))
+    cfg = _write_config(
+        tmp_path / "cfg.json", artifacts, tmp_path / "run", method="dfcm",
+        paths={"vocabulary": str(vocab)},
+    )
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert str(vocab) in caplog.text and named in caplog.text
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text.replace('"words"', '"terms"'), "'words'"),
+    (_truncate, "invalid JSON"),
+], ids=["missing-key", "invalid-json"])
+def test_malformed_topics_is_a_data_error(corpus_dir, tmp_path, caplog, edit, named):
+    words = [{"term": f"topic0word{j:02d}", "weight": 1.0} for j in range(3)]
+    topics = {"method": "efcm", "config": {}, "warnings": [],
+              "topics": [{"index": 0, "words": words}]}
+    path = tmp_path / "topics.json"
+    path.write_text(edit(json.dumps(topics)))
+    rc = main(["evaluate", "--topics", str(path),
+               "--embeddings", str(corpus_dir / "embeddings.txt")])
+    assert rc == cli.EXIT_DATA
+    assert str(path) in caplog.text and named in caplog.text
+
+
 def test_readme_config_example_loads(tmp_path):
     examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert len(examples) == 1

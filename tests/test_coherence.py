@@ -125,7 +125,7 @@ class TestTcW2v:
 
 
 def _topic_set(word_lists):
-    topics = [Topic([(w, 1.0) for w in words], i) for i, words in enumerate(word_lists)]
+    topics = [Topic([(w, 1.0) for w in words]) for words in word_lists]
     return TopicSet(topics, "efcm", {})
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dfcm_topics import textprep
-from dfcm_topics.errors import EmptyVocabularyError
+from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
 
 def collapse_oracle(token):
@@ -165,6 +165,15 @@ class TestSerialization:
         assert loaded.terms == vocab.terms
         assert loaded.doc_freq == vocab.doc_freq
         assert loaded.threshold == vocab.threshold
+
+
+class TestReadCorpus:
+    def test_ids_equal_as_strings_collide(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 5, "text": "a"}\n{"id": "5", "text": "b"}\n')
+        with pytest.raises(MalformedLineError, match="line 2") as err:
+            textprep.read_corpus_jsonl(path)
+        assert err.value.line_number == 2
 
 
 class TestStopwords:
