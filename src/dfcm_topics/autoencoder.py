@@ -7,7 +7,6 @@ autoencoder (dropout-corrupted input and hidden activations), then the
 whole stack is fine-tuned end to end without dropout.
 """
 
-import json
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -16,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, NonFiniteLossError
+from .textprep import save_json
 
 DEFAULT_HIDDEN_DIMS = (500, 500, 2000)
 
@@ -146,6 +146,8 @@ def _backward(layers, caches, dOut, drop_masks=None):
         else:
             dZ = dA
         grads[i] = (dZ.T @ A, dZ.sum(axis=0))
+        if i == 0:  # nothing reads the gradient with respect to the input
+            break
         dA = dZ @ layers[i].weights
         if drop_masks is not None and drop_masks[i] is not None:
             dA = dA * drop_masks[i]
@@ -354,9 +356,7 @@ def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss
         "train_config": None if train_config is None else vars(train_config),
         "final_loss": final_loss,
     }
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(f"{path}.json", sidecar)
 
 
 def load_checkpoint(path) -> AutoencoderModel:

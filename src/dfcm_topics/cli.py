@@ -144,13 +144,6 @@ def _load_artifacts(cfg):
     return vocab, dtm
 
 
-def _save_memberships(M: np.ndarray, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def cmd_vectorize(args) -> int:
     docs = textprep.read_corpus_jsonl(args.corpus)
     stopwords = textprep.load_stopwords(args.stopwords) if args.stopwords else set()
@@ -169,19 +162,19 @@ def _run_detection(vocab, dtm, pipe_cfg, out: Path):
     result = topics.detect(dtm, vocab, pipe_cfg)
     out.mkdir(parents=True, exist_ok=True)
     topics.save_topic_set(result.topic_set, out / "topics.json")
-    _save_memberships(result.fcm_result.memberships, out / "memberships.txt")
-    with open(out / "objective_trace.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "objective_trace": result.fcm_result.objective_trace,
-                "iterations": result.fcm_result.iterations,
-                "converged": result.fcm_result.converged,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    fit = result.fcm_result
+    c, n = fit.memberships.shape
+    np.savetxt(
+        out / "memberships.txt", fit.memberships, fmt="%.17g", header=f"{c} {n}", comments=""
+    )
+    textprep.save_json(
+        out / "objective_trace.json",
+        {
+            "objective_trace": fit.objective_trace,
+            "iterations": fit.iterations,
+            "converged": fit.converged,
+        },
+    )
     if result.model is not None:
         final_loss = result.train_trace[-1] if result.train_trace else None
         save_checkpoint(result.model, out / "model.bin", pipe_cfg.train, final_loss)

@@ -1,6 +1,5 @@
 """Topic-coherence scoring: mean pairwise cosine over word embeddings."""
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -12,6 +11,7 @@ from .errors import (
     TooFewKnownWordsError,
     ZeroVectorError,
 )
+from .textprep import save_json
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def load_word_vectors(path, expected_dim: int | None = None) -> WordVectorStore:
                 dim = len(values)
             if len(values) != dim:
                 raise MalformedLineError(
-                    f"line {lineno}: expected {dim} values, got {len(values)}",
+                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}",
                     lineno,
                 )
             if term in vectors:
@@ -70,10 +70,10 @@ def load_word_vectors(path, expected_dim: int | None = None) -> WordVectorStore:
                 vectors[term] = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise MalformedLineError(
-                    f"line {lineno}: non-numeric value ({exc})", lineno
+                    f"{path}: line {lineno}: non-numeric value ({exc})", lineno
                 ) from exc
     if dim is None or not vectors:
-        raise MalformedLineError("embedding file is empty")
+        raise MalformedLineError(f"{path}: embedding file is empty")
     return WordVectorStore(dim, vectors)
 
 
@@ -129,6 +129,4 @@ def save_report(report: CoherenceReport, path) -> None:
         "mean_score": report.mean_score,
         "skipped_topics": report.skipped_topics,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, payload)

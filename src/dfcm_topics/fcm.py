@@ -4,7 +4,7 @@ Works on any real-valued data matrix: the autoencoder code space in the
 DFCM pipeline, the eigenspace in the EFCM baseline.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class FcmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
+        if self.init_runs < 1:
+            raise ValueError("init_runs must be >= 1")
 
 
 @dataclass
@@ -49,35 +51,29 @@ class FcmResult:
 
 
 def _sq_distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (c, n)."""
-    d2 = (
-        np.sum(Q**2, axis=1)[:, None]
-        - 2.0 * Q @ X.T
-        + np.sum(X**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Squared Euclidean distances, shape (c, n), in one (c, n) buffer."""
+    d2 = 2.0 * Q @ X.T
+    np.subtract(np.sum(Q**2, axis=1)[:, None], d2, out=d2)
+    np.add(d2, np.sum(X**2, axis=1)[None, :], out=d2)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = KMEANS_MAX_ITER):
     """Lloyd's algorithm from given centers; returns (centers, labels, sse)."""
-    n = X.shape[0]
+    n, c = X.shape[0], centers.shape[0]
     for _ in range(max_iter):
         d2 = _sq_distances(X, centers)
         labels = np.argmin(d2, axis=0)  # ties break to lowest index
-        new_centers = centers.copy()
-        for i in range(centers.shape[0]):
-            mask = labels == i
-            if mask.any():
-                new_centers[i] = X[mask].mean(axis=0)
-            else:
-                # Reseed an empty cluster to the point farthest from its
-                # nearest centroid.
-                nearest = d2[labels, np.arange(n)]
-                new_centers[i] = X[np.argmax(nearest)]
-        if np.allclose(new_centers, centers, rtol=0.0, atol=1e-12):
-            centers = new_centers
+        counts = np.bincount(labels, minlength=c)
+        # add.at sums each cluster's rows in index order, as mean() does.
+        new_centers = np.zeros_like(centers)
+        np.add.at(new_centers, labels, X)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        # Reseed empty clusters to the point farthest from its nearest centroid.
+        new_centers[counts == 0] = X[np.argmax(d2[labels, np.arange(n)])]
+        centers, previous = new_centers, centers
+        if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
             break
-        centers = new_centers
     d2 = _sq_distances(X, centers)
     labels = np.argmin(d2, axis=0)
     sse = float(d2[labels, np.arange(n)].sum())
@@ -124,23 +120,18 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
     """
     if f <= 1.0:
         raise InvalidFuzzifierError("fuzzification constant must be > 1")
-    d = np.sqrt(_sq_distances(X, Q))  # (c, n)
+    d = _sq_distances(X, Q)  # (c, n)
+    np.sqrt(d, out=d)
     expo = 2.0 / (f - 1.0)
     dmin = d.min(axis=0)
     M = np.zeros_like(d)
-
     regular = dmin >= COINCIDENT_TOL
-    if regular.any():
-        # Normalize by the column minimum so ratios are >= 1 and the
-        # negative power cannot overflow for small f.
-        ratio = d[:, regular] / dmin[regular]
-        w = ratio ** (-expo)
-        M[:, regular] = w / w.sum(axis=0)
-
-    coincident = ~regular
-    if coincident.any():
-        hits = d[:, coincident] < COINCIDENT_TOL
-        M[:, coincident] = hits / hits.sum(axis=0)
+    # Normalize by the column minimum so ratios are >= 1 and the
+    # negative power cannot overflow for small f.
+    w = (d[:, regular] / dmin[regular]) ** (-expo)
+    M[:, regular] = w / w.sum(axis=0)
+    hits = d[:, ~regular] < COINCIDENT_TOL
+    M[:, ~regular] = hits / hits.sum(axis=0)
     return M
 
 
@@ -179,16 +170,11 @@ def fcm_fit(
     )
     trace: list[float] = []
     M_prev = None
-    converged = False
-    t = 0
-    while t < config.max_iter:
-        t += 1
+    for t in range(1, config.max_iter + 1):
         M = update_memberships(X, Q, config.f)
         Q = update_centroids(X, M, config.f)
         trace.append(objective(X, M, Q, config.f))
         if M_prev is not None and np.linalg.norm(M - M_prev) < config.eps:
-            converged = True
-            M_prev = M
-            break
+            return FcmResult(M, Q, trace, t, True)
         M_prev = M
-    return FcmResult(M_prev, Q, trace, t, converged)
+    return FcmResult(M, Q, trace, t, False)

@@ -177,16 +177,17 @@ def read_corpus_jsonl(path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLineError(
-                    f"line {lineno}: invalid JSON ({exc})", lineno
+                    f"{path}: line {lineno}: invalid JSON ({exc})", lineno
                 ) from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise MalformedLineError(
-                    f"line {lineno}: expected object with 'id' and 'text'", lineno
+                    f"{path}: line {lineno}: expected object with 'id' and 'text'",
+                    lineno,
                 )
             doc_id = str(obj["id"])  # 5 and "5" are the same id
             if not obj["id"] or doc_id in seen:
                 raise MalformedLineError(
-                    f"line {lineno}: duplicate or empty document id {obj['id']!r}",
+                    f"{path}: line {lineno}: duplicate or empty document id {obj['id']!r}",
                     lineno,
                 )
             seen.add(doc_id)
@@ -195,11 +196,14 @@ def read_corpus_jsonl(path) -> list[dict]:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    payload = {
-        "terms": vocab.terms,
-        "doc_freq": vocab.doc_freq,
-        "threshold": vocab.threshold,
-    }
+    save_json(
+        path,
+        {"terms": vocab.terms, "doc_freq": vocab.doc_freq, "threshold": vocab.threshold},
+    )
+
+
+def save_json(path, payload) -> None:
+    """Write payload as UTF-8 JSON: sorted keys, 2-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
@@ -244,7 +248,7 @@ def load_matrix(path) -> DocTermMatrix:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise MalformedLineError("header must be 'n_docs n_terms nnz'", 1)
+            raise MalformedLineError(f"{path}: header must be 'n_docs n_terms nnz'", 1)
         i = -1  # entry i is on line i + 2, so the header is line 1
         try:
             n_docs, n_terms, nnz = (int(x) for x in header)
@@ -255,15 +259,17 @@ def load_matrix(path) -> DocTermMatrix:
                 parts = fh.readline().split()
                 if len(parts) != 3:
                     raise MalformedLineError(
-                        f"line {i + 2}: expected 'row col weight'", i + 2
+                        f"{path}: line {i + 2}: expected 'row col weight'", i + 2
                     )
                 rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
         except (ValueError, OverflowError) as exc:  # overflow: an index past int64
-            raise MalformedLineError(f"line {i + 2}: {exc}", i + 2) from exc
+            raise MalformedLineError(f"{path}: line {i + 2}: {exc}", i + 2) from exc
         rest = fh.read()
     if rest.strip():
         line = nnz + 2 + rest[: len(rest) - len(rest.lstrip())].count("\n")
-        raise MalformedLineError(f"line {line}: entry past the header's nnz {nnz}", line)
+        raise MalformedLineError(
+            f"{path}: line {line}: entry past the header's nnz {nnz}", line
+        )
     # Checked on whole arrays, which keeps per-line work out of the parse loop.
     for bad, what in (
         ((rows < 0) | (rows >= n_docs), f"row index outside [0, {n_docs})"),
@@ -272,7 +278,7 @@ def load_matrix(path) -> DocTermMatrix:
     ):
         if bad.any():
             line = int(np.argmax(bad)) + 2
-            raise MalformedLineError(f"line {line}: {what}", line)
+            raise MalformedLineError(f"{path}: line {line}: {what}", line)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms))
     if mat.nnz < nnz:  # scipy summed duplicate (row, col) entries into one
         _, first = np.unique(np.stack([rows, cols], axis=1), axis=0, return_index=True)
@@ -280,7 +286,7 @@ def load_matrix(path) -> DocTermMatrix:
         dup[first] = False
         line = int(np.argmax(dup)) + 2
         where = f"({rows[line - 2]}, {cols[line - 2]})"
-        raise MalformedLineError(f"line {line}: duplicate entry {where}", line)
+        raise MalformedLineError(f"{path}: line {line}: duplicate entry {where}", line)
     return DocTermMatrix(mat)
 
 

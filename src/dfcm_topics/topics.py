@@ -5,7 +5,6 @@ low-dimensional space, run fuzzy c-means there, map the centroids back
 to term space, rectify to nonnegative weights, and rank topic words.
 """
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from . import svd as tsvd
 from .errors import DimensionMismatchError
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .seeding import stage_seed
-from .textprep import DocTermMatrix, Vocabulary, load_json
+from .textprep import DocTermMatrix, Vocabulary, load_json, save_json
 
 
 METHODS = ("dfcm", "efcm")
@@ -147,9 +146,7 @@ def save_topic_set(topic_set: TopicSet, path) -> None:
         ],
         "warnings": topic_set.warnings,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, payload)
 
 
 def load_topic_set(path) -> TopicSet:

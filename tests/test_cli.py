@@ -198,6 +198,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
     ({"fcm": {"max_iter": 2.5}}, "fcm.max_iter"),
     ({"train": {"optimizer": "bogus"}}, "optimizer"),  # an EFCM run
     ({"fcm": {"fuzzifier": 1.0}}, "fuzzification"),
+    ({"fcm": {"init_runs": 0}}, "init_runs"),
 ])
 def test_malformed_config_value_is_a_config_error(artifacts, tmp_path, caplog, overrides, named):
     out = tmp_path / "run"
@@ -283,6 +284,7 @@ def test_malformed_matrix_line_is_a_data_error(artifacts, tmp_path, method, colu
     with pytest.raises(MalformedLineError, match=named) as err:
         textprep.load_matrix(matrix)
     assert err.value.line_number == 5
+    assert str(matrix) in str(err.value)
     cfg = _write_config(
         tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
         paths={"matrix": str(matrix)},
@@ -308,6 +310,7 @@ def test_matrix_entries_must_match_header_nnz(artifacts, tmp_path, method, case,
     with pytest.raises(MalformedLineError, match=named) as err:
         textprep.load_matrix(matrix)
     assert err.value.line_number == bad_line
+    assert str(matrix) in str(err.value)
     cfg = _write_config(
         tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
         paths={"matrix": str(matrix)},

@@ -40,6 +40,7 @@ class TestLoadWordVectors:
         with pytest.raises(MalformedLineError) as err:
             coherence.load_word_vectors(path)
         assert err.value.line_number == 2
+        assert str(path) in str(err.value)
 
     def test_expected_dim_mismatch(self, tmp_path):
         path = tmp_path / "vec.txt"

@@ -174,6 +174,7 @@ class TestReadCorpus:
         with pytest.raises(MalformedLineError, match="line 2") as err:
             textprep.read_corpus_jsonl(path)
         assert err.value.line_number == 2
+        assert str(path) in str(err.value)
 
 
 class TestStopwords:
