@@ -7,14 +7,14 @@ autoencoder (dropout-corrupted input and hidden activations), then the
 whole stack is fine-tuned end to end without dropout.
 """
 
+import os
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, NonFiniteLossError
+from .errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
 from .textprep import save_json
 
 DEFAULT_HIDDEN_DIMS = (500, 500, 2000)
@@ -129,29 +129,28 @@ def _forward(layers, X, drop_masks=None):
     for i, layer in enumerate(layers):
         if drop_masks is not None and drop_masks[i] is not None:
             A = A * drop_masks[i]
-        Z = A @ layer.weights.T + layer.bias
+        Z = A @ layer.weights.T
+        Z += layer.bias
         caches.append((A, Z))
         A = _activate(Z, layer.activation)
     return A, caches
 
 
-def _backward(layers, caches, dOut, drop_masks=None):
-    """Backpropagate dOut through the stack; returns per-layer (dW, db)."""
-    grads = [None] * len(layers)
+def _backward(layers, caches, dOut, grads, drop_masks=None):
+    """Backpropagate dOut (overwritten) through the stack into grads' per-layer (dW, db)."""
     dA = dOut
     for i in range(len(layers) - 1, -1, -1):
         A, Z = caches[i]
         if layers[i].activation == "relu":
-            dZ = dA * (Z > 0.0)
-        else:
-            dZ = dA
-        grads[i] = (dZ.T @ A, dZ.sum(axis=0))
+            dA *= Z > 0.0
+        dW, db = grads[i]
+        np.matmul(dA.T, A, out=dW)
+        dA.sum(axis=0, out=db)
         if i == 0:  # nothing reads the gradient with respect to the input
             break
-        dA = dZ @ layers[i].weights
+        dA = dA @ layers[i].weights
         if drop_masks is not None and drop_masks[i] is not None:
-            dA = dA * drop_masks[i]
-    return grads
+            dA *= drop_masks[i]
 
 
 def _mse_and_grad(Y, target):
@@ -166,7 +165,9 @@ def backprop_gradients(model: AutoencoderModel, batch: np.ndarray):
     batch = np.asarray(batch, dtype=np.float64)
     Y, caches = _forward(model.layers, batch)
     _, dOut = _mse_and_grad(Y, batch)
-    return _backward(model.layers, caches, dOut)
+    grads = [(np.empty_like(layer.weights), np.empty_like(layer.bias)) for layer in model.layers]
+    _backward(model.layers, caches, dOut, grads)
+    return grads
 
 
 def reconstruction_loss(model: AutoencoderModel, X) -> float:
@@ -180,35 +181,62 @@ def reconstruction_loss(model: AutoencoderModel, X) -> float:
 class _Optimizer:
     """Adam-style adaptive moments or classical momentum SGD, in place.
 
-    moments[k] is (m, v) of params[k]; v is None for momentum SGD.
+    Copies the layers' weights and biases into one flat vector, params, and
+    rebinds each layer's arrays to views of it. grad, m and v (v only for
+    adaptive moments) are flat vectors of the same length; grads holds the
+    per-layer (dW, db) views of grad that _backward fills.
     """
+
+    BLOCK = 1 << 15  # elements per step block: two float64 scratch blocks fit a 2 MB L2
 
     def __init__(self, layers, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.params = [p for layer in layers for p in (layer.weights, layer.bias)]
-        adaptive = cfg.optimizer == "adaptive_moments"
-        self.moments = [
-            (np.zeros_like(p), np.zeros_like(p) if adaptive else None) for p in self.params
-        ]
+        arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.zeros_like(self.params)
+        cuts = np.cumsum([a.size for a in arrays])[:-1]
 
-    def step(self, grads):
-        """One update from the per-layer (dW, db) gradients."""
+        def layer_views(flat):  # per-layer (weights, bias)-shaped views of flat
+            views = iter([v.reshape(a.shape) for v, a in zip(np.split(flat, cuts), arrays)])
+            return list(zip(views, views))
+
+        for layer, (W, b) in zip(layers, layer_views(self.params)):
+            layer.weights, layer.bias = W, b
+        self.grads = layer_views(self.grad)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params) if cfg.optimizer == "adaptive_moments" else None
+        self._scratch = np.empty((2, min(self.params.size, self.BLOCK)))
+
+    def step(self):
+        """One update from grad, block by block; bit-identical to a per-array update."""
         cfg = self.cfg
         self.t += 1
-        for param, grad, (m, v) in zip(self.params, chain.from_iterable(grads), self.moments):
-            if v is None:
+        for start in range(0, self.params.size, self.BLOCK):
+            block = slice(start, start + self.BLOCK)
+            p, g, m = self.params[block], self.grad[block], self.m[block]
+            s1, s2 = self._scratch[:, : p.size]
+            if self.v is None:
                 m *= cfg.momentum
-                m -= cfg.learning_rate * grad
-                param += m
+                np.multiply(g, cfg.learning_rate, out=s1)
+                m -= s1
+                p += m
                 continue
+            v = self.v[block]
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
+            np.multiply(g, 1.0 - cfg.beta1, out=s1)
+            m += s1
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad**2
-            mhat = m / (1.0 - cfg.beta1**self.t)
-            vhat = v / (1.0 - cfg.beta2**self.t)
-            param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.stabilizer)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - cfg.beta2
+            v += s1
+            np.divide(v, 1.0 - cfg.beta2**self.t, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += cfg.stabilizer
+            np.divide(m, 1.0 - cfg.beta1**self.t, out=s2)
+            s2 *= cfg.learning_rate
+            s2 /= s1
+            p -= s2
 
 
 def _densify(X):
@@ -249,10 +277,8 @@ def _train(layers, X, cfg, rng, dropout):
             loss, dOut = _mse_and_grad(Y, batch)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(f"training loss became {loss}")
-            # Keep the gradients until the next step replaces them: freed here,
-            # malloc returns their pages, and re-faulting them cost ~25% speed.
-            grads = _backward(layers, caches, dOut, masks)
-            opt.step(grads)
+            _backward(layers, caches, dOut, opt.grads, masks)
+            opt.step()
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
     return trace
@@ -278,9 +304,7 @@ def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rn
     representation H_next = g(W1 H_prev + b1), computed without dropout.
     """
     _train([enc_layer, dec_layer], H_prev, cfg, rng, dropout=True)
-    H_next = _activate(
-        _densify(H_prev) @ enc_layer.weights.T + enc_layer.bias, enc_layer.activation
-    )
+    H_next, _ = _forward([enc_layer], _densify(H_prev))
     return enc_layer, dec_layer, H_next
 
 
@@ -360,19 +384,31 @@ def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss
 
 
 def load_checkpoint(path) -> AutoencoderModel:
+    """Read a save_checkpoint file; malformed content raises MalformedLineError."""
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        version, input_dim, code_dim, n_layers = struct.unpack("<IIII", fh.read(16))
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, what):
+            if n > size - fh.tell():
+                raise MalformedLineError(f"{path}: truncated {what}")
+            return fh.read(n)
+
+        if read(len(_MAGIC), "header") != _MAGIC:
+            raise MalformedLineError(f"{path}: not a model checkpoint")
+        version, input_dim, code_dim, n_layers = struct.unpack("<IIII", read(16, "header"))
         if version != 1:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise MalformedLineError(f"{path}: unsupported checkpoint version {version}")
+        if n_layers % 2:
+            raise MalformedLineError(f"{path}: odd layer count {n_layers}")
         layers = []
-        for _ in range(n_layers):
-            in_dim, out_dim, act = struct.unpack("<IIB", fh.read(9))
-            W = np.frombuffer(fh.read(8 * in_dim * out_dim), dtype="<f8").reshape(
-                out_dim, in_dim
-            )
-            b = np.frombuffer(fh.read(8 * out_dim), dtype="<f8")
-            layers.append(DenseLayer(W.copy(), b.copy(), _ACT_NAMES[act]))
+        for i in range(n_layers):
+            in_dim, out_dim, act = struct.unpack("<IIB", read(9, f"layer {i}"))
+            if act not in _ACT_NAMES:
+                raise MalformedLineError(f"{path}: layer {i}: unknown activation code {act}")
+            W = np.frombuffer(read(8 * in_dim * out_dim, f"layer {i}"), dtype="<f8")
+            b = np.frombuffer(read(8 * out_dim, f"layer {i}"), dtype="<f8")
+            layers.append(DenseLayer(W.reshape(out_dim, in_dim).copy(), b.copy(), _ACT_NAMES[act]))
+        if fh.tell() != size:
+            raise MalformedLineError(f"{path}: trailing bytes after the last layer")
     half = n_layers // 2
     return AutoencoderModel(layers[:half], layers[half:], code_dim)

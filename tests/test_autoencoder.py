@@ -1,9 +1,12 @@
+import struct
+from itertools import chain
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dfcm_topics import autoencoder as ae
-from dfcm_topics.errors import DimensionMismatchError, NonFiniteLossError
+from dfcm_topics.errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
 
 
 def finite_difference_check(model, batch, rng, samples_per_layer=10, step=1e-5):
@@ -25,6 +28,30 @@ def finite_difference_check(model, batch, rng, samples_per_layer=10, step=1e-5):
             denom = max(abs(fd), abs(analytic), 1e-8)
             worst = max(worst, abs(fd - analytic) / denom)
     return worst
+
+
+def reference_step(params, grads, moments, cfg, t):
+    """Per-array Adam or momentum-SGD update, the oracle for _Optimizer.step.
+
+    moments[k] is (m, v) of params[k]; v is None for momentum SGD.
+    """
+    for param, grad, (m, v) in zip(params, grads, moments):
+        if v is None:
+            m *= cfg.momentum
+            m -= cfg.learning_rate * grad
+            param += m
+            continue
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad**2
+        mhat = m / (1.0 - cfg.beta1**t)
+        vhat = v / (1.0 - cfg.beta2**t)
+        param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.stabilizer)
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 class TestBuild:
@@ -156,6 +183,38 @@ class TestGradients:
         np.testing.assert_allclose(gW, expected, rtol=1e-12)
 
 
+class TestOptimizer:
+    # 58 parameters fit in one step block; 58,740 span two blocks, the
+    # second one partial.
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (300, 150, 90)])
+    @pytest.mark.parametrize("optimizer", ["adaptive_moments", "sgd_momentum"])
+    def test_flat_step_matches_per_array_update(self, dims, optimizer):
+        rng = np.random.default_rng(0)
+        layers = [
+            ae.DenseLayer(rng.normal(size=(o, i)), rng.normal(size=o), "relu")
+            for i, o in zip(dims, dims[1:])
+        ]
+        params = [a.copy() for layer in layers for a in (layer.weights, layer.bias)]
+        adaptive = optimizer == "adaptive_moments"
+        moments = [(np.zeros_like(p), np.zeros_like(p) if adaptive else None) for p in params]
+        cfg = ae.TrainConfig(optimizer=optimizer, learning_rate=1e-2, momentum=0.5)
+        opt = ae._Optimizer(layers, cfg)
+        assert opt.params.size % opt.BLOCK != 0
+        for t in range(1, 5):
+            grads = [rng.normal(size=p.shape) for p in params]
+            for view, grad in zip(chain.from_iterable(opt.grads), grads):
+                view[...] = grad
+            opt.step()
+            reference_step(params, grads, moments, cfg, t)
+        assert np.array_equal(opt.params, _flat(params))
+        assert np.array_equal(_flat(a for l in layers for a in (l.weights, l.bias)), _flat(params))
+        assert np.array_equal(opt.m, _flat(m for m, _ in moments))
+        if adaptive:
+            assert np.array_equal(opt.v, _flat(v for _, v in moments))
+        else:
+            assert opt.v is None
+
+
 class TestTraining:
     def test_pretrain_layer_memorizes_constant(self):
         rng = np.random.default_rng(0)
@@ -197,6 +256,30 @@ class TestTraining:
             assert model.decoder_layers[i] is decoder[i]
         for layer, w0 in zip(model.layers, initial):
             assert not np.array_equal(layer.weights, w0)
+
+    def test_trained_weights_are_contiguous_views_that_round_trip(self, tmp_path):
+        X = np.random.default_rng(0).normal(size=(16, 6))
+        model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
+        layers = list(model.layers)
+        cfg = ae.TrainConfig(epochs=2, batch_size=8, seed=3)
+        ae.greedy_pretrain(X, model, cfg)
+        ae.fine_tune(X, model, cfg)
+        for layer, before in zip(model.layers, layers):
+            assert layer is before
+            assert layer.weights.flags.c_contiguous and layer.bias.flags.c_contiguous
+        params = [a for layer in model.layers for a in (layer.weights, layer.bias)]
+        flat = params[0].base
+        assert flat is not None and all(a.base is flat for a in params)
+        ae.save_checkpoint(model, tmp_path / "model.bin")
+        for la, lb in zip(model.layers, ae.load_checkpoint(tmp_path / "model.bin").layers):
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.bias, lb.bias)
+        first, second = (
+            list(chain.from_iterable(ae.backprop_gradients(model, X))) for _ in range(2)
+        )
+        for i, grad in enumerate(first + second):
+            for other in (first + second)[i + 1 :] + params:
+                assert not np.shares_memory(grad, other)
 
     def test_smoke_full_pretrain_tiny(self):
         rng = np.random.default_rng(0)
@@ -325,3 +408,33 @@ class TestCheckpoint:
             np.testing.assert_array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
         assert (tmp_path / "model.bin.json").exists()
+
+
+def _corrupt(data, offset, fmt, value):
+    return data[:offset] + struct.pack(fmt, value) + data[offset + struct.calcsize(fmt) :]
+
+
+# Checkpoint layout: 8-byte magic, then version, input_dim, code_dim and
+# n_layers as <IIII, then per layer <IIB (in_dim, out_dim, activation code)
+# and the float64 weights and bias.
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: b"NOTMODEL" + d[8:], "not a model checkpoint"),
+        (lambda d: _corrupt(d, 8, "<I", 2), "unsupported checkpoint version 2"),
+        (lambda d: d[:20], "truncated header"),
+        (lambda d: d[:-4], "truncated layer 3"),
+        (lambda d: _corrupt(d, 32, "<B", 7), "layer 0: unknown activation code 7"),
+        (lambda d: _corrupt(d, 20, "<I", 3), "odd layer count 3"),
+        (lambda d: d + b"\0", "trailing bytes after the last layer"),
+    ],
+    ids=["magic", "version", "short-header", "short-layer", "activation", "odd-layers",
+         "trailing"],
+)
+def test_malformed_checkpoint_is_rejected(tmp_path, corrupt, message):
+    path = tmp_path / "model.bin"
+    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(MalformedLineError) as err:
+        ae.load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
