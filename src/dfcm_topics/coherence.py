@@ -5,12 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MalformedLineError,
-    DimensionMismatchError,
-    TooFewKnownWordsError,
-    ZeroVectorError,
-)
+from .errors import MalformedLineError, TooFewKnownWordsError, ZeroVectorError
 from .textprep import save_json
 
 log = logging.getLogger(__name__)
@@ -35,23 +30,18 @@ class CoherenceReport:
     skipped_topics: list[int] = field(default_factory=list)
 
 
-def load_word_vectors(path, expected_dim: int | None = None) -> WordVectorStore:
+def load_word_vectors(path) -> WordVectorStore:
     """Parse a text embedding file: optional `count dim` header, then
     one `term v1 ... v_dim` line per term. Duplicate terms keep the
     first occurrence.
     """
     vectors: dict[str, np.ndarray] = {}
-    dim = expected_dim
+    dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if lineno == 1 and len(fields) == 2 and all(p.isdigit() for p in fields):
-                if dim is None:
-                    dim = int(fields[1])
-                elif int(fields[1]) != dim:
-                    raise DimensionMismatchError(
-                        f"header declares dim {fields[1]}, expected {dim}"
-                    )
+                dim = int(fields[1])
                 continue
             if not fields:
                 continue

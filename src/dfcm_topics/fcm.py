@@ -50,43 +50,46 @@ class FcmResult:
     converged: bool
 
 
-def _sq_distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (c, n), in one (c, n) buffer."""
-    d2 = 2.0 * Q @ X.T
+def _sq_distances(X: np.ndarray, Q: np.ndarray, xx=None, out=None) -> np.ndarray:
+    """Squared Euclidean distances, shape (c, n); xx = np.sum(X**2, axis=1)."""
+    xx = np.sum(X**2, axis=1) if xx is None else xx
+    d2 = np.matmul(2.0 * Q, X.T, out=out)
     np.subtract(np.sum(Q**2, axis=1)[:, None], d2, out=d2)
-    np.add(d2, np.sum(X**2, axis=1)[None, :], out=d2)
+    np.add(d2, xx[None, :], out=d2)
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = KMEANS_MAX_ITER):
-    """Lloyd's algorithm from given centers; returns (centers, labels, sse)."""
-    n, c = X.shape[0], centers.shape[0]
+def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
+    """Lloyd's algorithm from given centers, in the (c, n) buffer d2; returns (centers, sse)."""
+    c = centers.shape[0]
     for _ in range(max_iter):
-        d2 = _sq_distances(X, centers)
+        _sq_distances(X, centers, xx, out=d2)
         labels = np.argmin(d2, axis=0)  # ties break to lowest index
         counts = np.bincount(labels, minlength=c)
-        # add.at sums each cluster's rows in index order, as mean() does.
-        new_centers = np.zeros_like(centers)
-        np.add.at(new_centers, labels, X)
+        # bincount sums each cluster's rows in index order, as mean() does.
+        new_centers = np.stack([np.bincount(labels, weights=col, minlength=c) for col in X.T], 1)
         new_centers /= np.maximum(counts, 1)[:, None]
-        # Reseed empty clusters to the point farthest from its nearest centroid.
-        new_centers[counts == 0] = X[np.argmax(d2[labels, np.arange(n)])]
+        if not counts.all():
+            # Reseed empty clusters to the point farthest from its nearest centroid.
+            new_centers[counts == 0] = X[np.argmax(d2.min(axis=0))]
         centers, previous = new_centers, centers
         if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
             break
-    d2 = _sq_distances(X, centers)
-    labels = np.argmin(d2, axis=0)
-    sse = float(d2[labels, np.arange(n)].sum())
-    return centers, labels, sse
+    return centers, float(_sq_distances(X, centers, xx, out=d2).min(axis=0).sum())
 
 
-def _kmeans_pp_seed(X: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: sample centers proportional to squared distance."""
+def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: sample centers proportional to squared distance.
+
+    A running minimum keeps this O(c n). BLAS gives a row the same bits in
+    any product of >= 2 rows but not alone (gemv), so step 2 restarts it.
+    """
     n = X.shape[0]
     centers = np.empty((c, X.shape[1]))
     centers[0] = X[rng.integers(n)]
     for i in range(1, c):
-        d2 = _sq_distances(X, centers[:i]).min(axis=0)
+        near = _sq_distances(X, centers[max(i - 2, 0) : i], xx).min(axis=0)
+        d2 = near if i <= 2 else np.minimum(d2, near, out=d2)
         total = d2.sum()
         if total <= 0.0:
             idx = rng.integers(n)
@@ -102,10 +105,11 @@ def kmeans_init(X: np.ndarray, c: int, runs: int = 10, seed: int = 0) -> np.ndar
     if X.shape[0] < c:
         raise TooFewPointsError(f"{X.shape[0]} points < {c} clusters")
     rng = np.random.default_rng(seed)
+    xx = np.sum(X**2, axis=1)
+    d2 = np.empty((c, X.shape[0]))
     best_centers, best_sse = None, np.inf
     for _ in range(max(1, runs)):
-        centers = _kmeans_pp_seed(X, c, rng)
-        centers, _, sse = _lloyd(X, centers)
+        centers, sse = _lloyd(X, xx, _kmeans_pp_seed(X, xx, c, rng), d2)
         if sse < best_sse:
             best_centers, best_sse = centers, sse
     return best_centers

@@ -4,6 +4,7 @@ Turns raw documents into the sparse nonnegative document-term matrix
 consumed by both topic-detection pipelines.
 """
 
+import itertools
 import json
 import re
 import string
@@ -19,6 +20,7 @@ from .errors import DimensionMismatchError, EmptyVocabularyError, MalformedLineE
 _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _URL_PREFIXES = ("www.", "http://", "https://")
 _STRIP_CHARS = string.punctuation + "‘’“”…"
+ENTRY_CHUNK = 256  # matrix lines per split; at 4,096 the freed field strings kept ~2 MB resident
 
 
 def clean_text(raw: str) -> str:
@@ -244,6 +246,24 @@ def save_matrix(dtm: DocTermMatrix, path) -> None:
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
+def _fill_entries(fh, rows, cols, vals) -> bool:
+    """Parse the entry lines by chunks; False if a line is off. Each line end
+    becomes a ';' field (no good file has one), so k good lines split into k
+    (row, col, weight, ';') groups, the last maybe without its ';'."""
+    for start in range(0, len(rows), ENTRY_CHUNK):
+        k = min(ENTRY_CHUNK, len(rows) - start)
+        text = "".join(itertools.islice(fh, k))
+        fields = text.replace("\n", " ; ").split()
+        if ";" in text or fields[3::4].count(";") != len(fields) // 4:
+            return False
+        try:
+            for j, (column, kind) in enumerate(((rows, int), (cols, int), (vals, float))):
+                column[start : start + k] = np.fromiter(map(kind, fields[j::4]), column.dtype, k)
+        except (ValueError, OverflowError):
+            return False
+    return True
+
+
 def load_matrix(path) -> DocTermMatrix:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -255,13 +275,16 @@ def load_matrix(path) -> DocTermMatrix:
             rows = np.empty(nnz, dtype=np.int64)
             cols = np.empty(nnz, dtype=np.int64)
             vals = np.empty(nnz, dtype=np.float64)
-            for i in range(nnz):
-                parts = fh.readline().split()
-                if len(parts) != 3:
-                    raise MalformedLineError(
-                        f"{path}: line {i + 2}: expected 'row col weight'", i + 2
-                    )
-                rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
+            if not _fill_entries(fh, rows, cols, vals):  # parse again to name the line
+                fh.seek(0)
+                fh.readline()
+                for i in range(nnz):
+                    parts = fh.readline().split()
+                    if len(parts) != 3:
+                        raise MalformedLineError(
+                            f"{path}: line {i + 2}: expected 'row col weight'", i + 2
+                        )
+                    rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
         except (ValueError, OverflowError) as exc:  # overflow: an index past int64
             raise MalformedLineError(f"{path}: line {i + 2}: {exc}", i + 2) from exc
         rest = fh.read()

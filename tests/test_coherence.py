@@ -5,7 +5,6 @@ import pytest
 
 from dfcm_topics import coherence
 from dfcm_topics.errors import (
-    DimensionMismatchError,
     MalformedLineError,
     TooFewKnownWordsError,
     ZeroVectorError,
@@ -43,10 +42,13 @@ class TestLoadWordVectors:
         assert str(path) in str(err.value)
 
     def test_expected_dim_mismatch(self, tmp_path):
+        # The header's dim is the expected length of every vector.
         path = tmp_path / "vec.txt"
-        path.write_text("2 3\na 1 0 0\nb 0 1 0\n")
-        with pytest.raises(DimensionMismatchError):
-            coherence.load_word_vectors(path, expected_dim=5)
+        path.write_text("2 5\na 1 0 0\nb 0 1 0\n")
+        with pytest.raises(MalformedLineError, match="expected 5 values, got 3") as err:
+            coherence.load_word_vectors(path)
+        assert err.value.line_number == 2
+        assert str(path) in str(err.value)
 
     def test_duplicate_keeps_first(self, tmp_path):
         path = tmp_path / "vec.txt"

@@ -40,6 +40,61 @@ def lloyd_oracle(X, c, runs, seed):
     return best_labels
 
 
+def reference_sq_distances(X, Q):
+    d2 = 2.0 * Q @ X.T
+    np.subtract(np.sum(Q**2, axis=1)[:, None], d2, out=d2)
+    np.add(d2, np.sum(X**2, axis=1)[None, :], out=d2)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def reference_lloyd(X, centers, max_iter=fcm.KMEANS_MAX_ITER):
+    n, c = X.shape[0], centers.shape[0]
+    for _ in range(max_iter):
+        d2 = reference_sq_distances(X, centers)
+        labels = np.argmin(d2, axis=0)
+        counts = np.bincount(labels, minlength=c)
+        new_centers = np.zeros_like(centers)
+        np.add.at(new_centers, labels, X)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        new_centers[counts == 0] = X[np.argmax(d2[labels, np.arange(n)])]
+        centers, previous = new_centers, centers
+        if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
+            break
+    d2 = reference_sq_distances(X, centers)
+    labels = np.argmin(d2, axis=0)
+    return centers, float(d2[labels, np.arange(n)].sum())
+
+
+def reference_kmeans_init(X, c, runs, seed):
+    """The O(c^2 n) k-means++ seeding and add.at Lloyd, the oracle for kmeans_init."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    best_centers, best_sse = None, np.inf
+    for _ in range(runs):
+        centers = np.empty((c, X.shape[1]))
+        centers[0] = X[rng.integers(n)]
+        for i in range(1, c):
+            d2 = reference_sq_distances(X, centers[:i]).min(axis=0)
+            total = d2.sum()
+            idx = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+            centers[i] = X[idx]
+        centers, sse = reference_lloyd(X, centers)
+        if sse < best_sse:
+            best_centers, best_sse = centers, sse
+    return best_centers
+
+
+def _reference_sets():
+    rng = np.random.default_rng(7)
+    return {
+        "gaussian": rng.normal(size=(60, 3)),
+        "repeated": np.repeat(rng.normal(size=(5, 4)), 20, axis=0),
+        "zeros+gaussian": np.vstack([np.zeros((10, 3)), rng.normal(size=(40, 3))]),
+        "grid": np.round(rng.uniform(0, 3, size=(80, 2))),
+    }
+
+
 def best_label_agreement(a, b, c):
     """Max agreement fraction over all cluster relabelings."""
     best = 0.0
@@ -72,6 +127,52 @@ class TestKmeansInit:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             fcm.kmeans_init(np.zeros((2, 2)), 3)
+
+    @pytest.mark.parametrize("name", sorted(_reference_sets()))
+    def test_matches_reference(self, name):
+        X = _reference_sets()[name]
+        for c, seed in itertools.product([1, 2, 3, 5, 8], [0, 1, 2]):
+            expected = reference_kmeans_init(X, c, runs=3, seed=seed)
+            assert np.array_equal(fcm.kmeans_init(X, c, runs=3, seed=seed), expected), (c, seed)
+
+    def test_matches_reference_at_forty_clusters(self):
+        X = np.random.default_rng(3).normal(size=(2000, 10))
+        expected = reference_kmeans_init(X, 40, runs=2, seed=4)
+        assert np.array_equal(fcm.kmeans_init(X, 40, runs=2, seed=4), expected)
+
+    def test_duplicate_points_match_reference(self):
+        # A point's distance to an equal centre is rounding noise, and
+        # whether the noise sums to 0 picks the uniform or the weighted
+        # draw, so seeding must reproduce the reference's bits exactly.
+        for trial in range(24):
+            rng = np.random.default_rng(trial)
+            k, d, rep = rng.integers(2, 6), rng.integers(2, 12), rng.integers(2, 40)
+            X = np.repeat(rng.normal(size=(k, d)) * rng.choice([1, 1e3, 1e-3]), rep, axis=0)
+            rng.shuffle(X)
+            c = k + rng.integers(1, 4)
+            expected = reference_kmeans_init(X, c, runs=3, seed=trial)
+            assert np.array_equal(fcm.kmeans_init(X, c, runs=3, seed=trial), expected), trial
+
+    def test_identical_rows_take_the_uniform_draw(self):
+        # Every distance is 0, so the second centre is drawn uniformly;
+        # a draw proportional to d2 would divide by a zero total.
+        X = np.tile([[1.5, -2.0]], (6, 1))
+        Q = fcm.kmeans_init(X, 2, runs=2, seed=0)
+        np.testing.assert_array_equal(Q, X[:2])
+        assert np.array_equal(Q, reference_kmeans_init(X, 2, runs=2, seed=0))
+
+    def test_empty_cluster_is_reseeded_to_farthest_point(self):
+        # Three distinct points, two coincident starting centres: the
+        # second centre wins no point (ties go to the lowest index) and is
+        # moved to the point farthest from its nearest centre.
+        X = np.repeat([[0.0], [1.0], [10.0]], 2, axis=0)
+        xx = np.sum(X**2, axis=1)
+        centers = np.array([[0.0], [0.0], [10.0]])
+        got, sse = fcm._lloyd(X, xx, centers, np.empty((3, 6)))
+        np.testing.assert_array_equal(got, [[0.0], [1.0], [10.0]])
+        assert sse == 0.0
+        ref_centers, ref_sse = reference_lloyd(X, centers)
+        assert np.array_equal(got, ref_centers) and sse == ref_sse
 
 
 class TestUpdateMemberships:

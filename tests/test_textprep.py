@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dfcm_topics import textprep
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
@@ -155,6 +156,73 @@ class TestSerialization:
         loaded = textprep.load_matrix(path)
         assert loaded.n_docs == 3 and loaded.n_terms == 3
         np.testing.assert_array_equal(loaded.matrix.toarray(), dtm.matrix.toarray())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 12])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
+    def test_matrix_parsed_in_chunks(self, tmp_path, monkeypatch, chunk, ending):
+        lines = ["3 4 5", "0 0 0.5", "0 3 1e-3", "1 1 2", "2 0 0.25", "2 2 7.125"]
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(((ending or "\n").join(lines) + ending).encode())
+        monkeypatch.setattr(textprep, "ENTRY_CHUNK", chunk)
+        dense = textprep.load_matrix(path).matrix.toarray()
+        expected = np.zeros((3, 4))
+        for line in lines[1:]:
+            r, c, v = line.split()
+            expected[int(r), int(c)] = float(v)
+        np.testing.assert_array_equal(dense, expected)
+
+    @pytest.mark.parametrize("chunk", [2, 1 << 12])
+    @pytest.mark.parametrize("body, line, named", [
+        ("0 0 0.5\n0 3 0.001 1\n1 2\n2 0 0.25\n2 2 7.125\n", 3, "expected 'row col weight'"),
+        ("0 0 0.5\n0 3 0.001\n\n1 1 2\n2 0 0.25\n", 4, "expected 'row col weight'"),
+        ("0 0 0.5\n0 3 0.001 ; 1 1 2\n2 0 0.25\n2 2 7.125\n", 3, "expected 'row col weight'"),
+        ("0 0 0.5\n0 3 0.001\n1 1 2\n2.0 0 0.25\n2 2 7.125\n", 5, "2.0"),
+    ], ids=["field-moved-across-lines", "blank-line", "semicolon", "float-index"])
+    def test_off_matrix_line_is_named(self, tmp_path, monkeypatch, chunk, body, line, named):
+        path = tmp_path / "matrix.txt"
+        path.write_text("3 4 5\n" + body)
+        monkeypatch.setattr(textprep, "ENTRY_CHUNK", chunk)
+        with pytest.raises(MalformedLineError, match=named) as err:
+            textprep.load_matrix(path)
+        assert err.value.line_number == line
+
+    def test_extra_field_on_unterminated_last_line_is_named(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("2 2 2\n0 0 0.5\n1 1 2 5")
+        with pytest.raises(MalformedLineError, match="expected 'row col weight'") as err:
+            textprep.load_matrix(path)
+        assert err.value.line_number == 3
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(["0", "1", "3", "0.5", "1e-3", "nan", "-1", "x", ";", "1_0"]),
+                     max_size=5),
+            max_size=8,
+        ),
+        sep=st.sampled_from([" ", "\t", "  "]),
+        extra_nnz=st.integers(-2, 1),
+        tail=st.sampled_from(["\n", "", "\n\n", "\n \n", "\n1 1 1\n"]),
+    )
+    def test_chunked_parse_agrees_with_line_loop(self, tmp_path, lines, sep, extra_nnz, tail):
+        nnz = max(0, len(lines) + extra_nnz)
+        body = "\n".join(sep.join(fields) for fields in lines)
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"4 4 {nnz}\n{body}{tail}")
+
+        def outcome():
+            try:
+                m = textprep.load_matrix(path).matrix
+                return m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
+            except MalformedLineError as exc:
+                return str(exc), exc.line_number
+
+        with mock.patch.object(textprep, "_fill_entries", return_value=False):
+            expected = outcome()  # the line loop alone
+        for chunk in (1, 2, 1 << 12):
+            with mock.patch.object(textprep, "ENTRY_CHUNK", chunk):
+                assert outcome() == expected, chunk
 
     def test_vocabulary_round_trip(self, tmp_path):
         docs = [["b", "a"] for _ in range(10)]
