@@ -22,6 +22,7 @@ DEFAULT_HIDDEN_DIMS = (500, 500, 2000)
 _ACT_CODES = {"relu": 0, "linear": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAGIC = b"DAEMODL1"
+INFER_BATCH = 1024  # rows per block of every dropout-free pass
 
 
 @dataclass
@@ -114,15 +115,11 @@ def build_autoencoder(
     return AutoencoderModel(make(enc_dims, "linear"), make(dec_dims, "linear"), code_dim)
 
 
-def _activate(z, activation):
-    return np.maximum(z, 0.0) if activation == "relu" else z
-
-
 def _forward(layers, X, drop_masks=None):
-    """Forward pass; returns output and per-layer (input, preact) caches.
+    """Forward pass; returns output and per-layer (input, activation) caches.
 
     drop_masks[i], when given, is an inverted-dropout mask applied to
-    layer i's input.
+    layer i's input. Relu runs in place, so each layer keeps one array.
     """
     caches = []
     A = X
@@ -131,9 +128,20 @@ def _forward(layers, X, drop_masks=None):
             A = A * drop_masks[i]
         Z = A @ layer.weights.T
         Z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(Z, 0.0, out=Z)
         caches.append((A, Z))
-        A = _activate(Z, layer.activation)
+        A = Z
     return A, caches
+
+
+def _infer(layers, X):
+    """Dropout-free _forward over the rows of X (dense or sparse), INFER_BATCH at a time."""
+    out = np.empty((X.shape[0], layers[-1].out_dim))
+    for start in range(0, X.shape[0], INFER_BATCH):
+        rows = slice(start, start + INFER_BATCH)
+        out[rows], _ = _forward(layers, _densify(X[rows]))
+    return out
 
 
 def _backward(layers, caches, dOut, grads, drop_masks=None):
@@ -141,7 +149,7 @@ def _backward(layers, caches, dOut, grads, drop_masks=None):
     dA = dOut
     for i in range(len(layers) - 1, -1, -1):
         A, Z = caches[i]
-        if layers[i].activation == "relu":
+        if layers[i].activation == "relu":  # Z holds relu(z), which is > 0 exactly where z > 0
             dA *= Z > 0.0
         dW, db = grads[i]
         np.matmul(dA.T, A, out=dW)
@@ -172,9 +180,7 @@ def backprop_gradients(model: AutoencoderModel, batch: np.ndarray):
 
 def reconstruction_loss(model: AutoencoderModel, X) -> float:
     """Full-data reconstruction MSE (dropout off)."""
-    X = _densify(X)
-    Y, _ = _forward(model.layers, X)
-    loss, _ = _mse_and_grad(Y, X)
+    loss, _ = _mse_and_grad(_infer(model.layers, X), _densify(X))
     return loss
 
 
@@ -284,19 +290,6 @@ def _train(layers, X, cfg, rng, dropout):
     return trace
 
 
-def denoising_forward(x, layer_in: DenseLayer, layer_out: DenseLayer, r, rng):
-    """One corrupted pass through a two-layer denoising autoencoder.
-
-    The pass pretraining trains on: inverted-dropout masks corrupt the
-    input and the hidden activations, retained units scaled by 1/(1-r).
-    Returns (h, y), h unmasked. With r = 0 this is a plain autoencoder pass.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    pair = [layer_in, layer_out]
-    y, caches = _forward(pair, x, _pair_masks(x, pair, r, rng))
-    return _activate(caches[0][1], layer_in.activation), y
-
-
 def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng):
     """Fit one denoising autoencoder pair on the previous clean activations.
 
@@ -304,8 +297,7 @@ def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rn
     representation H_next = g(W1 H_prev + b1), computed without dropout.
     """
     _train([enc_layer, dec_layer], H_prev, cfg, rng, dropout=True)
-    H_next, _ = _forward([enc_layer], _densify(H_prev))
-    return enc_layer, dec_layer, H_next
+    return enc_layer, dec_layer, _infer([enc_layer], H_prev)
 
 
 def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> AutoencoderModel:
@@ -329,18 +321,13 @@ def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> tuple[Autoencoder
     return model, trace
 
 
-def encode(model: AutoencoderModel, X, batch_size: int = 1024) -> np.ndarray:
+def encode(model: AutoencoderModel, X) -> np.ndarray:
     """Apply the encoder half (dropout off); rows become code vectors."""
     if X.shape[1] != model.input_dim:
         raise DimensionMismatchError(
             f"expected {model.input_dim} columns, got {X.shape[1]}"
         )
-    out = np.empty((X.shape[0], model.code_dim))
-    for start in range(0, X.shape[0], batch_size):
-        batch = _densify(X[start : start + batch_size])
-        Y, _ = _forward(model.encoder_layers, batch)
-        out[start : start + batch_size] = Y
-    return out
+    return _infer(model.encoder_layers, X)
 
 
 def decode(model: AutoencoderModel, C) -> np.ndarray:
@@ -350,8 +337,7 @@ def decode(model: AutoencoderModel, C) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected {model.code_dim} columns, got {C.shape[1]}"
         )
-    Y, _ = _forward(model.decoder_layers, C)
-    return Y
+    return _infer(model.decoder_layers, C)
 
 
 def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss=None):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedLineError, TooFewKnownWordsError, ZeroVectorError
-from .textprep import save_json
+from .textprep import open_text, save_json
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +37,7 @@ def load_word_vectors(path) -> WordVectorStore:
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if lineno == 1 and len(fields) == 2 and all(p.isdigit() for p in fields):

@@ -4,6 +4,7 @@ Turns raw documents into the sparse nonnegative document-term matrix
 consumed by both topic-detection pipelines.
 """
 
+import contextlib
 import itertools
 import json
 import re
@@ -14,7 +15,7 @@ from importlib import resources
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, EmptyVocabularyError, MalformedLineError
+from .errors import EmptyVocabularyError, MalformedLineError
 
 # Any unicode letter repeated 3+ times; digits and punctuation are left alone.
 _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
@@ -150,6 +151,16 @@ def vectorize_tfidf(corpus: list[list[str]], vocab: Vocabulary) -> DocTermMatrix
     return DocTermMatrix(mat)
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 file to read; an undecodable byte raises MalformedLineError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_stopwords(path) -> set[str]:
     """Read a one-term-per-line stopword file.
 
@@ -157,7 +168,7 @@ def load_stopwords(path) -> set[str]:
     """
     if path in ("en", "id"):
         return default_stopwords(path)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return {line.strip() for line in fh if line.strip()}
 
 
@@ -171,7 +182,7 @@ def read_corpus_jsonl(path) -> list[dict]:
     """Read a JSON-lines corpus of {"id": ..., "text": ...} objects."""
     docs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -218,7 +229,7 @@ def load_json(path, build):
     raises MalformedLineError naming the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return build(json.load(fh))
     except json.JSONDecodeError as exc:
         raise MalformedLineError(f"{path}: invalid JSON ({exc})", exc.lineno) from exc
@@ -265,7 +276,7 @@ def _fill_entries(fh, rows, cols, vals) -> bool:
 
 
 def load_matrix(path) -> DocTermMatrix:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise MalformedLineError(f"{path}: header must be 'n_docs n_terms nnz'", 1)
@@ -285,6 +296,8 @@ def load_matrix(path) -> DocTermMatrix:
                             f"{path}: line {i + 2}: expected 'row col weight'", i + 2
                         )
                     rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
+        except UnicodeDecodeError:
+            raise  # open_text names the file; no line is known
         except (ValueError, OverflowError) as exc:  # overflow: an index past int64
             raise MalformedLineError(f"{path}: line {i + 2}: {exc}", i + 2) from exc
         rest = fh.read()
@@ -317,7 +330,4 @@ def prepare_corpus(docs: list[dict], stopwords: set[str]):
     """Clean, tokenize, build vocabulary and vectorize in one pass."""
     token_lists = [tokenize(clean_text(d["text"])) for d in docs]
     vocab = build_vocabulary(token_lists, stopwords)
-    dtm = vectorize_tfidf(token_lists, vocab)
-    if dtm.n_docs != len(docs):
-        raise DimensionMismatchError("matrix rows do not match document count")
-    return vocab, dtm
+    return vocab, vectorize_tfidf(token_lists, vocab)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -48,6 +49,25 @@ def reference_step(params, grads, moments, cfg, t):
         mhat = m / (1.0 - cfg.beta1**t)
         vhat = v / (1.0 - cfg.beta2**t)
         param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.stabilizer)
+
+
+def reference_forward(layers, X, drop_masks=None):
+    """Forward pass keeping z and relu(z) as separate arrays, the oracle for _forward."""
+    caches = []
+    A = X
+    for i, layer in enumerate(layers):
+        if drop_masks is not None and drop_masks[i] is not None:
+            A = A * drop_masks[i]
+        Z = A @ layer.weights.T
+        Z += layer.bias
+        caches.append((A, Z))
+        A = np.maximum(Z, 0.0) if layer.activation == "relu" else Z
+    return A, caches
+
+
+def reference_infer(layers, X):
+    """Whole-array dropout-free pass, the oracle for the blocked one."""
+    return reference_forward(layers, ae._densify(X))[0]
 
 
 def _flat(arrays):
@@ -119,23 +139,27 @@ class TestDenoisingForward:
         )
 
     def test_no_corruption_at_rate_zero(self):
-        lin, lout = self._identity_pair(3)
-        x = np.array([1.0, -2.0, 3.0])
-        h, y = ae.denoising_forward(x, lin, lout, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(h[0], x)
-        np.testing.assert_array_equal(y[0], x)
+        pair = self._identity_pair(3)
+        x = np.array([[1.0, -2.0, 3.0]])
+        y, caches = ae._forward(pair, x, ae._pair_masks(x, pair, 0.0, np.random.default_rng(0)))
+        np.testing.assert_array_equal(caches[0][1], x)
+        np.testing.assert_array_equal(y, x)
 
     def test_inverted_scaling_with_fixed_mask(self):
         # Mask drops coordinate 0 and keeps coordinate 1 scaled by 1/(1-r).
-        lin, lout = self._identity_pair(2)
+        pair = self._identity_pair(2)
+        x = np.ones((1, 2))
         rng = _FixedRng([[0.1, 0.9], [0.9, 0.9]])
-        h, _ = ae.denoising_forward(np.array([1.0, 1.0]), lin, lout, 0.5, rng)
-        np.testing.assert_array_equal(h[0], [0.0, 2.0])
+        _, caches = ae._forward(pair, x, ae._pair_masks(x, pair, 0.5, rng))
+        np.testing.assert_array_equal(caches[0][1][0], [0.0, 2.0])
 
     def test_zero_weights_give_bias(self):
-        lin = ae.DenseLayer(np.zeros((2, 2)), np.zeros(2), "linear")
-        lout = ae.DenseLayer(np.zeros((2, 2)), np.array([3.0, -1.0]), "linear")
-        _, y = ae.denoising_forward(np.ones(2), lin, lout, 0.0, np.random.default_rng(0))
+        pair = (
+            ae.DenseLayer(np.zeros((2, 2)), np.zeros(2), "linear"),
+            ae.DenseLayer(np.zeros((2, 2)), np.array([3.0, -1.0]), "linear"),
+        )
+        x = np.ones((1, 2))
+        y, _ = ae._forward(pair, x, ae._pair_masks(x, pair, 0.0, np.random.default_rng(0)))
         np.testing.assert_array_equal(y[0], [3.0, -1.0])
 
 
@@ -344,6 +368,93 @@ class TestTraining:
             ae.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             ae.TrainConfig(epochs=1, dropout_rate=1.0)
+
+
+class TestMatchesReferenceForward:
+    """The in-place, row-blocked passes against reference_forward and reference_infer."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_forward(self, rate):
+        rng = np.random.default_rng(0)
+        model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+        X = rng.normal(size=(20, 12))
+        masks = [ae._dropout_mask((20, layer.in_dim), rate, rng) for layer in model.layers]
+        Y, caches = ae._forward(model.layers, X, masks)
+        Y_ref, caches_ref = reference_forward(model.layers, X, masks)
+        assert np.array_equal(Y, Y_ref)
+        for (A, _), (A_ref, _) in zip(caches, caches_ref):
+            assert np.array_equal(A, A_ref)
+
+    def test_backprop_gradients(self):
+        model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+        X = np.random.default_rng(0).normal(size=(20, 12))
+        Y, caches = reference_forward(model.layers, X)
+        _, dOut = ae._mse_and_grad(Y, X)
+        expected = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers]
+        ae._backward(model.layers, caches, dOut, expected)
+        for got, want in zip(chain.from_iterable(ae.backprop_gradients(model, X)),
+                             chain.from_iterable(expected)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_pretrain_and_fine_tune(self, monkeypatch, rate):
+        X = sp.random(40, 12, density=0.5, random_state=0, format="csr")
+        real_train = ae._train
+
+        def run():
+            traces = []
+
+            def recording_train(*args, **kwargs):
+                traces.append(real_train(*args, **kwargs))
+                return traces[-1]
+
+            monkeypatch.setattr(ae, "_train", recording_train)
+            model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+            cfg = ae.TrainConfig(epochs=3, batch_size=16, dropout_rate=rate, seed=4)
+            ae.greedy_pretrain(X, model, cfg)
+            ae.fine_tune(X, model, cfg)
+            return traces, _flat(a for l in model.layers for a in (l.weights, l.bias))
+
+        traces, params = run()
+        monkeypatch.setattr(ae, "_forward", reference_forward)
+        monkeypatch.setattr(ae, "_infer", reference_infer)
+        traces_ref, params_ref = run()
+        assert len(traces) == 4 and traces == traces_ref
+        assert np.array_equal(params, params_ref)
+
+    @pytest.mark.parametrize("n", [ae.INFER_BATCH, 2 * ae.INFER_BATCH + 5])
+    def test_h_next_encode_and_decode(self, n):
+        # Past one block, BLAS may round some elements differently than in
+        # the whole product, so only n <= INFER_BATCH is bit for bit.
+        def same(a, b):
+            return np.array_equal(a, b) if n <= ae.INFER_BATCH else np.allclose(a, b, atol=1e-12)
+
+        X = sp.random(n, 12, density=0.5, random_state=0, format="csr")
+        model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+        cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=4)
+        enc, _, H_next = ae.pretrain_layer(
+            X, model.encoder_layers[0], model.decoder_layers[-1], cfg, np.random.default_rng(4)
+        )
+        assert same(H_next, reference_infer([enc], X))
+        codes = ae.encode(model, X)
+        assert same(codes, reference_infer(model.encoder_layers, X))
+        assert same(ae.decode(model, codes), reference_infer(model.decoder_layers, codes))
+
+    def test_pretrain_layer_never_densifies_whole_input(self):
+        n, d = 3 * ae.INFER_BATCH, 1000
+        X = sp.random(n, d, density=0.01, random_state=0, format="csr")
+        model = ae.build_autoencoder(d, 2, seed=0, hidden_dims=(4,))
+        cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=0)
+        tracemalloc.start()
+        try:
+            ae.pretrain_layer(
+                X, model.encoder_layers[0], model.decoder_layers[-1], cfg,
+                np.random.default_rng(0),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestEncodeDecode:

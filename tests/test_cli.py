@@ -342,15 +342,61 @@ def test_malformed_vocabulary_is_a_data_error(artifacts, tmp_path, caplog, edit,
     (_truncate, "invalid JSON"),
 ], ids=["missing-key", "invalid-json"])
 def test_malformed_topics_is_a_data_error(corpus_dir, tmp_path, caplog, edit, named):
-    words = [{"term": f"topic0word{j:02d}", "weight": 1.0} for j in range(3)]
-    topics = {"method": "efcm", "config": {}, "warnings": [],
-              "topics": [{"index": 0, "words": words}]}
     path = tmp_path / "topics.json"
-    path.write_text(edit(json.dumps(topics)))
+    path.write_text(edit(_topics_text()))
     rc = main(["evaluate", "--topics", str(path),
                "--embeddings", str(corpus_dir / "embeddings.txt")])
     assert rc == cli.EXIT_DATA
     assert str(path) in caplog.text and named in caplog.text
+
+
+def _topics_text():
+    words = [{"term": f"topic0word{j:02d}", "weight": 1.0} for j in range(3)]
+    return json.dumps({"method": "efcm", "config": {}, "warnings": [],
+                       "topics": [{"index": 0, "words": words}]})
+
+
+@pytest.mark.parametrize(
+    "bad", ["corpus", "stopwords", "vocabulary", "matrix", "topics", "embeddings", "config"]
+)
+def test_invalid_utf8_names_the_file(corpus_dir, artifacts, tmp_path, caplog, bad):
+    files = {
+        "corpus": corpus_dir / "corpus.jsonl",
+        "stopwords": tmp_path / "stopwords.txt",
+        "vocabulary": artifacts / "vocabulary.json",
+        "matrix": artifacts / "matrix.txt",
+        "topics": tmp_path / "topics.json",
+        "embeddings": corpus_dir / "embeddings.txt",
+    }
+    files["stopwords"].write_text("the\nand\nof\n")
+    files["topics"].write_text(_topics_text())
+    files["config"] = tmp_path / "cfg.json"
+
+    def corrupt(key):  # a 0xff byte, never valid in UTF-8, halfway into the file
+        data = files[key].read_bytes()
+        files[key] = tmp_path / f"bad-{files[key].name}"
+        files[key].write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+
+    if bad != "config":
+        corrupt(bad)
+    _write_config(files["config"], artifacts, tmp_path / "run", paths={
+        "vocabulary": str(files["vocabulary"]), "matrix": str(files["matrix"])})
+    if bad == "config":
+        corrupt(bad)
+    argv = {
+        "vectorize": ["--corpus", files["corpus"], "--stopwords", files["stopwords"],
+                      "--out-dir", tmp_path / "vec"],
+        "detect": ["--config", files["config"], "--seed", "1"],
+        "evaluate": ["--topics", files["topics"], "--embeddings", files["embeddings"],
+                     "--out", tmp_path / "coherence.json"],
+    }
+    command = {"corpus": "vectorize", "stopwords": "vectorize", "topics": "evaluate",
+               "embeddings": "evaluate"}.get(bad, "detect")
+    rc = main([command, *map(str, argv[command])])
+    if bad == "config":
+        assert rc == cli.EXIT_CONFIG and f"cannot read config {files[bad]}: " in caplog.text
+    else:
+        assert rc == cli.EXIT_DATA and f"{files[bad]}: not UTF-8 text" in caplog.text
 
 
 def test_readme_config_example_loads(tmp_path):
