@@ -40,8 +40,11 @@ def load_word_vectors(path) -> WordVectorStore:
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
-            if lineno == 1 and len(fields) == 2 and all(p.isdigit() for p in fields):
-                dim = int(fields[1])
+            if lineno == 1 and len(fields) == 2 and all(p.isdecimal() for p in fields):
+                try:
+                    dim = int(fields[1])
+                except ValueError as exc:  # more digits than int() accepts
+                    raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
                 continue
             if not fields:
                 continue
@@ -57,7 +60,7 @@ def load_word_vectors(path) -> WordVectorStore:
                 log.warning("duplicate term %r at line %d ignored", term, lineno)
                 continue
             try:
-                vectors[term] = np.array([float(v) for v in values])
+                vectors[term] = np.array(values, dtype=np.float64)
             except ValueError as exc:
                 raise MalformedLineError(
                     f"{path}: line {lineno}: non-numeric value ({exc})", lineno
@@ -65,13 +68,6 @@ def load_word_vectors(path) -> WordVectorStore:
     if dim is None or not vectors:
         raise MalformedLineError(f"{path}: embedding file is empty")
     return WordVectorStore(dim, vectors)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def tc_w2v(topic_words: list[str], store: WordVectorStore) -> tuple[float, int]:
@@ -82,17 +78,17 @@ def tc_w2v(topic_words: list[str], store: WordVectorStore) -> tuple[float, int]:
     """
     if not topic_words:
         raise TooFewKnownWordsError("topic has no words")
-    known = [store.vectors[w] for w in topic_words if w in store]
+    known = np.array([store.vectors[w] for w in topic_words if w in store])
     n = len(known)
     if n < 2:
         raise TooFewKnownWordsError(
             f"only {n} of {len(topic_words)} words found in the embedding store"
         )
-    total = 0.0
-    for j in range(1, n):
-        for i in range(j):
-            total += cosine(known[i], known[j])
-    return total / (n * (n - 1) / 2), n
+    norms = np.linalg.norm(known, axis=1)
+    if not norms.all():
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    unit = known / norms[:, None]
+    return float((unit @ unit.T)[np.triu_indices(n, 1)].mean()), n
 
 
 def evaluate(topic_set, store: WordVectorStore) -> CoherenceReport:

@@ -25,13 +25,9 @@ def _as_operator(D):
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry nonnegative."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        i = np.argmax(np.abs(V[:, j]))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
+    """Make each column's largest-magnitude entry nonnegative (C-ordered copy)."""
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.ascontiguousarray(np.where(peak < 0, -V, V))
 
 
 def dense_truncated_svd(D, p: int) -> TruncatedSvd:

@@ -4,6 +4,7 @@ Turns raw documents into the sparse nonnegative document-term matrix
 consumed by both topic-detection pipelines.
 """
 
+import collections
 import contextlib
 import itertools
 import json
@@ -89,12 +90,8 @@ def build_vocabulary(corpus: list[list[str]], stopwords: set[str]) -> Vocabulary
     if not corpus:
         raise EmptyVocabularyError("corpus is empty")
     threshold = frequency_threshold(len(corpus))
-    doc_freq: dict[str, int] = {}
-    for tokens in corpus:
-        for term in set(tokens):
-            if term not in stopwords:
-                doc_freq[term] = doc_freq.get(term, 0) + 1
-    kept = sorted(t for t, df in doc_freq.items() if df >= threshold)
+    doc_freq = collections.Counter(itertools.chain.from_iterable(map(set, corpus)))
+    kept = sorted(t for t, df in doc_freq.items() if df >= threshold and t not in stopwords)
     if not kept:
         raise EmptyVocabularyError(
             f"no term occurs in at least {threshold} documents"
@@ -128,26 +125,15 @@ def vectorize_tfidf(corpus: list[list[str]], vocab: Vocabulary) -> DocTermMatrix
     Out-of-vocabulary tokens are ignored.
     """
     n_docs = len(corpus)
-    n_terms = len(vocab)
-    idf = np.empty(n_terms)
-    for term, j in vocab.index.items():
-        idf[j] = np.log((1.0 + n_docs) / (1.0 + vocab.doc_freq[term])) + 1.0
-
-    rows, cols, vals = [], [], []
-    for d, tokens in enumerate(corpus):
-        counts: dict[int, int] = {}
-        for tok in tokens:
-            j = vocab.index.get(tok)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        for j, tf in counts.items():
-            rows.append(d)
-            cols.append(j)
-            vals.append(tf * idf[j])
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64
-    )
-    mat.eliminate_zeros()
+    df = np.array([vocab.doc_freq[term] for term in vocab.terms], dtype=np.float64)
+    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    index = vocab.index
+    ids = [[index[tok] for tok in tokens if tok in index] for tokens in corpus]
+    indptr = np.cumsum([0] + [len(row) for row in ids])
+    cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
+    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
+    mat.sum_duplicates()  # repeated term ids become counts, indices sorted
+    mat.data *= idf[mat.indices]
     return DocTermMatrix(mat)
 
 
@@ -188,7 +174,7 @@ def read_corpus_jsonl(path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
                 raise MalformedLineError(
                     f"{path}: line {lineno}: invalid JSON ({exc})", lineno
                 ) from exc
@@ -231,8 +217,9 @@ def load_json(path, build):
     try:
         with open_text(path) as fh:
             return build(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise MalformedLineError(f"{path}: invalid JSON ({exc})", exc.lineno) from exc
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        line = getattr(exc, "lineno", None)
+        raise MalformedLineError(f"{path}: invalid JSON ({exc})", line) from exc
     except KeyError as exc:
         raise MalformedLineError(f"{path}: missing key {exc}") from exc
     except TypeError as exc:

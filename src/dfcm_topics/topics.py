@@ -25,8 +25,8 @@ class PipelineConfig:
     method: str = "dfcm"  # one of METHODS
     p: int = 5
     c: int = 10
-    fcm: FcmConfig = None  # its c is always set from c
-    train: ae.TrainConfig = None  # dfcm only
+    fcm: FcmConfig = None  # its c is set from c, its seed derived from seed
+    train: ae.TrainConfig = None  # dfcm only; its seed derived from seed
     top_n: int = 10
     seed: int = 0
 
@@ -35,9 +35,12 @@ class PipelineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.p < 1 or self.c < 1 or self.top_n < 1:
             raise ValueError("p, c and top_n must be >= 1")
-        self.fcm = FcmConfig(c=self.c) if self.fcm is None else replace(self.fcm, c=self.c)
+        fcm_seed = stage_seed(self.seed, "fcm-init")
+        self.fcm = replace(self.fcm or FcmConfig(), c=self.c, seed=fcm_seed)
         if self.train is None and self.method == "dfcm":
             self.train = ae.TrainConfig()
+        if self.train is not None:
+            self.train = replace(self.train, seed=stage_seed(self.seed, "train"))
 
 
 @dataclass
@@ -96,18 +99,16 @@ def _build_topic_set(topic_vectors, vocab, method, cfg, extra_warnings=()):
 
 
 def _cluster(X: np.ndarray, cfg: PipelineConfig) -> FcmResult:
-    fcm_cfg = replace(cfg.fcm, seed=stage_seed(cfg.seed, "fcm-init"))
-    init = kmeans_init(X, fcm_cfg.c, fcm_cfg.init_runs, fcm_cfg.seed)
-    return fcm_fit(X, fcm_cfg, init=init)
+    init = kmeans_init(X, cfg.fcm.c, cfg.fcm.init_runs, cfg.fcm.seed)
+    return fcm_fit(X, cfg.fcm, init=init)
 
 
 def dfcm_detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
     """Autoencoder pipeline: train, encode, cluster, decode, rectify, rank."""
     assert cfg.method == "dfcm"
-    train_cfg = replace(cfg.train, seed=stage_seed(cfg.seed, "train"))
     model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
-    ae.greedy_pretrain(D.matrix, model, train_cfg)
-    model, trace = ae.fine_tune(D.matrix, model, train_cfg)
+    ae.greedy_pretrain(D.matrix, model, cfg.train)
+    model, trace = ae.fine_tune(D.matrix, model, cfg.train)
 
     codes = ae.encode(model, D.matrix)
     result = _cluster(codes, cfg)

@@ -9,6 +9,7 @@ from dfcm_topics.cli import main
 from dfcm_topics.errors import ConfigError
 from dfcm_topics.errors import MalformedLineError
 from dfcm_topics.fcm import FcmConfig
+from dfcm_topics.seeding import stage_seed
 from dfcm_topics.topics import PipelineConfig
 import dfcm_topics.cli as cli
 
@@ -115,6 +116,16 @@ class TestDetect:
         assert rc == 0
         assert (out / "model.bin").exists()
         assert (out / "model.bin.json").exists()
+
+    def test_records_the_seeds_the_run_used(self, artifacts, tmp_path):
+        out = tmp_path / "run"
+        cfg = _write_config(tmp_path / "cfg.json", artifacts, out, method="dfcm")
+        assert main(["detect", "--config", str(cfg), "--seed", "7", "--epochs", "1"]) == 0
+        recorded = json.loads((out / "topics.json").read_text())["config"]
+        sidecar = json.loads((out / "model.bin.json").read_text())
+        assert recorded["fcm"]["seed"] == stage_seed(7, "fcm-init")
+        assert recorded["train"]["seed"] == stage_seed(7, "train")
+        assert sidecar["train_config"] == recorded["train"]
 
     def test_flag_overrides_config(self, artifacts, tmp_path):
         out = tmp_path / "run"
@@ -397,6 +408,39 @@ def test_invalid_utf8_names_the_file(corpus_dir, artifacts, tmp_path, caplog, ba
         assert rc == cli.EXIT_CONFIG and f"cannot read config {files[bad]}: " in caplog.text
     else:
         assert rc == cli.EXIT_DATA and f"{files[bad]}: not UTF-8 text" in caplog.text
+
+
+HUGE_INT = "1" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("bad, text", [
+    ("embeddings", "2 \u00b3\nw0 1\nw1 2\n"),  # a superscript passes isdigit(), not int()
+    ("embeddings", f"2 {HUGE_INT}\nw0 1\nw1 2\n"),
+    ("corpus", f'{{"id": {HUGE_INT}, "text": "x"}}\n'),
+    ("vocabulary", f'{{"terms": [], "doc_freq": {{}}, "threshold": {HUGE_INT}}}'),
+    ("topics", f'{{"method": "efcm", "config": {{}}, "warnings": [], "topics": {HUGE_INT}}}'),
+    ("config", f'{{"clusters": {HUGE_INT}}}'),
+], ids=["embedding-superscript-dim", "embedding-huge-dim", "corpus-huge-id",
+        "vocabulary-huge-int", "topics-huge-int", "config-huge-int"])
+def test_unparseable_number_names_the_file(corpus_dir, artifacts, tmp_path, caplog, bad, text):
+    path = tmp_path / f"bad-{bad}"
+    path.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, artifacts, tmp_path / "run", paths={"vocabulary": str(path)})
+    topics = tmp_path / "topics.json"
+    topics.write_text(_topics_text())
+    argv = {
+        "embeddings": ["evaluate", "--topics", topics, "--embeddings", path],
+        "corpus": ["vectorize", "--corpus", path, "--out-dir", tmp_path / "vec"],
+        "vocabulary": ["detect", "--config", cfg, "--seed", "1"],
+        "topics": ["evaluate", "--topics", path, "--embeddings", corpus_dir / "embeddings.txt"],
+        "config": ["detect", "--config", path, "--seed", "1"],
+    }[bad]
+    rc = main([str(arg) for arg in argv])
+    if bad == "config":
+        assert rc == cli.EXIT_CONFIG and f"cannot read config {path}: " in caplog.text
+    else:
+        assert rc == cli.EXIT_DATA and f"{path}: " in caplog.text
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -58,20 +58,37 @@ class TestLoadWordVectors:
 
 
 class TestCosine:
+    """The pairwise cosine inside tc_w2v, on two-word topics."""
+
     def test_self_similarity(self):
-        v = np.array([1.0, 2.0, -1.0])
-        assert coherence.cosine(v, v) == pytest.approx(1.0)
+        v = [1.0, 2.0, -1.0]
+        score, _ = coherence.tc_w2v(["a", "b"], _store({"a": v, "b": v}))
+        assert score == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert coherence.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        score, _ = coherence.tc_w2v(["a", "b"], _store({"a": [1.0, 0.0], "b": [0.0, 1.0]}))
+        assert score == 0.0
 
     def test_hand_value(self):
-        got = coherence.cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        score, _ = coherence.tc_w2v(["a", "b"], _store({"a": [3.0, 4.0], "b": [4.0, 3.0]}))
+        assert score == pytest.approx(24.0 / 25.0, abs=1e-12)
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVectorError):
-            coherence.cosine(np.zeros(2), np.ones(2))
+        store = _store({"a": [1.0, 0.0], "b": [1.0, 1.0], "z": [0.0, 0.0]})
+        for words in (["z", "b"], ["a", "b", "z"], ["zzz", "a", "z"]):
+            with pytest.raises(ZeroVectorError):
+                coherence.tc_w2v(words, store)
+
+
+def reference_tc_w2v(topic_words, store):
+    """The pairwise loop tc_w2v used to run: its oracle up to rounding."""
+    known = [store.vectors[w] for w in topic_words if w in store]
+    total = 0.0
+    for j in range(1, len(known)):
+        for i in range(j):
+            u, v = known[i], known[j]
+            total += float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return total / (len(known) * (len(known) - 1) / 2)
 
 
 class TestTcW2v:
@@ -118,6 +135,14 @@ class TestTcW2v:
         store = _store({f"w{i}": rng.normal(size=3) for i in range(8)})
         score, _ = coherence.tc_w2v(list(store.vectors), store)
         assert -1.0 <= score <= 1.0
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(2)
+        store = _store({f"w{i}": rng.normal(size=50) for i in range(30)})
+        for _ in range(100):
+            words = list(rng.choice(list(store.vectors), size=rng.integers(2, 12)))
+            score, _ = coherence.tc_w2v(words, store)
+            assert score == pytest.approx(reference_tc_w2v(words, store), abs=1e-15)
 
     def test_duplicate_words_contribute_unit_pairs(self):
         store = _store({"a": [1, 0], "b": [0, 1]})

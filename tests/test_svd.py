@@ -75,6 +75,37 @@ class TestTruncatedSvd:
             assert ours <= np.linalg.norm(D - B) + 1e-6
 
 
+def reference_fix_signs(V):
+    """The per-column loop _fix_signs used to run: its oracle."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        i = np.argmax(np.abs(V[:, j]))
+        if V[i, j] < 0:
+            V[:, j] = -V[:, j]
+    return V
+
+
+class TestFixSigns:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(10)
+        for trial in range(200):
+            V = rng.standard_normal((rng.integers(1, 40), rng.integers(1, 12)))
+            if trial % 3 == 0:
+                V = np.round(V)  # tied magnitudes and signed zeros
+            if trial % 2:
+                V = V.T.copy().T  # Fortran order, like Vt[:p].T
+            got, want = svd._fix_signs(V), reference_fix_signs(V)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
+
+    def test_input_unchanged(self):
+        V = np.array([[1.0, -3.0], [-2.0, 0.5]])
+        before = V.copy()
+        np.testing.assert_array_equal(svd._fix_signs(V), [[-1.0, 3.0], [2.0, -0.5]])
+        np.testing.assert_array_equal(V, before)
+
+
 class TestProjection:
     def test_shapes(self):
         A = np.random.default_rng(0).standard_normal((8, 6))

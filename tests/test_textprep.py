@@ -3,10 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dfcm_topics import textprep
+from dfcm_topics import coherence, textprep
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
+
+from conftest import planted_corpus
 
 
 def collapse_oracle(token):
@@ -146,6 +149,79 @@ class TestVectorizeTfidf:
         np.testing.assert_array_equal(shuffled.matrix.toarray(), base[perm])
 
 
+def reference_build_vocabulary(corpus, stopwords):
+    """The per-token counting loop build_vocabulary used to run: its oracle."""
+    threshold = textprep.frequency_threshold(len(corpus))
+    doc_freq = {}
+    for tokens in corpus:
+        for term in set(tokens):
+            if term not in stopwords:
+                doc_freq[term] = doc_freq.get(term, 0) + 1
+    kept = sorted(t for t, df in doc_freq.items() if df >= threshold)
+    return kept, {t: doc_freq[t] for t in kept}, threshold
+
+
+def reference_tfidf(corpus, vocab):
+    """The per-document count dict and triplet lists vectorize_tfidf used to
+    build: its oracle."""
+    n_docs, n_terms = len(corpus), len(vocab)
+    idf = np.empty(n_terms)
+    for term, j in vocab.index.items():
+        idf[j] = np.log((1.0 + n_docs) / (1.0 + vocab.doc_freq[term])) + 1.0
+    rows, cols, vals = [], [], []
+    for d, tokens in enumerate(corpus):
+        counts = {}
+        for tok in tokens:
+            j = vocab.index.get(tok)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        for j, tf in counts.items():
+            rows.append(d)
+            cols.append(j)
+            vals.append(tf * idf[j])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
+    mat.eliminate_zeros()
+    return mat
+
+
+def assert_matches_reference(corpus, stopwords, vocab=None):
+    """build_vocabulary (unless vocab is given) and vectorize_tfidf equal the
+    reference loops exactly, errors included."""
+    if vocab is None:
+        expected = reference_build_vocabulary(corpus, stopwords)
+        if not expected[0]:
+            with pytest.raises(EmptyVocabularyError):
+                textprep.build_vocabulary(corpus, stopwords)
+            return
+        vocab = textprep.build_vocabulary(corpus, stopwords)
+        assert (vocab.terms, vocab.doc_freq, vocab.threshold) == expected
+    got, want = textprep.vectorize_tfidf(corpus, vocab).matrix, reference_tfidf(corpus, vocab)
+    assert got.shape == want.shape and got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestMatchesReferenceLoops:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("stopwords", [set(), {"topic0word00", "topic2word19", "absent"}])
+    def test_planted_corpus(self, seed, stopwords):
+        _, docs, _ = planted_corpus(seed)
+        assert_matches_reference(docs, stopwords)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "the", "of", "rare"]), max_size=8),
+            min_size=1, max_size=40,
+        ),
+        stopwords=st.sets(st.sampled_from(["a", "the", "of"])),
+    )
+    def test_repeated_tokens_empty_documents_and_stopwords(self, corpus, stopwords):
+        assert_matches_reference(corpus, stopwords)
+        # A vocabulary from the first half leaves later documents without a term.
+        assert_matches_reference(corpus, stopwords, _unpruned_vocab(corpus[: len(corpus) // 2 + 1]))
+
+
 class TestSerialization:
     def test_matrix_round_trip(self, tmp_path):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
@@ -256,3 +332,25 @@ class TestStopwords:
         path = tmp_path / "sw.txt"
         path.write_text("foo\nbar\n\n")
         assert textprep.load_stopwords(path) == {"foo", "bar"}
+
+
+_FRAGMENTS = ['{"id": 1, "text": "a b"}', '{"id": "", "text": 1}', '{"id": [1]}', "[]",
+              "2 3", "w 1 0 0", "w 1e400 nan -0 1_0", "\u00b3", "\u0661\u0662", "0x10",
+              "1" * 4400, "\n", "\r\n", " ", "\t", '"', "{", "}", ":", ","]
+
+
+@pytest.mark.parametrize("load", [textprep.read_corpus_jsonl, coherence.load_word_vectors])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text() | st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+@example(text="2 \u00b3\nw 1\n")  # a superscript passes isdigit() but not int()
+@example(text=f'{{"id": {"1" * 4400}, "text": "a"}}\n')  # past int()'s digit limit
+@example(text=f"2 {'1' * 4400}\nw 1\n")
+def test_loader_returns_or_raises_malformed_line(tmp_path, load, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load(path)
+    except MalformedLineError as exc:
+        assert str(path) in str(exc)
+        assert exc.line_number is None or 1 <= exc.line_number <= len(text.splitlines()) + 1
