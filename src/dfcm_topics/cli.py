@@ -66,7 +66,7 @@ def load_run_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or invalid JSON
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

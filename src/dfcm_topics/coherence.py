@@ -1,5 +1,6 @@
 """Topic-coherence scoring: mean pairwise cosine over word embeddings."""
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -9,6 +10,7 @@ from .errors import MalformedLineError, TooFewKnownWordsError, ZeroVectorError
 from .textprep import open_text, save_json
 
 log = logging.getLogger(__name__)
+VECTOR_CHUNK = 64  # lines per np.loadtxt call; 1,024 raised efcm-sweep peak RSS ~5 MB
 
 
 @dataclass
@@ -33,41 +35,77 @@ class CoherenceReport:
 def load_word_vectors(path) -> WordVectorStore:
     """Parse a text embedding file: optional `count dim` header, then
     one `term v1 ... v_dim` line per term. Duplicate terms keep the
-    first occurrence.
+    first occurrence. The store holds row views of per-chunk blocks.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if lineno == 1 and len(fields) == 2 and all(p.isdecimal() for p in fields):
-                try:
-                    dim = int(fields[1])
-                except ValueError as exc:  # more digits than int() accepts
-                    raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
-                continue
-            if not fields:
-                continue
-            term, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-            if len(values) != dim:
-                raise MalformedLineError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}",
-                    lineno,
-                )
-            if term in vectors:
-                log.warning("duplicate term %r at line %d ignored", term, lineno)
-                continue
+        fields = fh.readline().split()
+        if len(fields) == 2 and all(p.isdecimal() for p in fields):
             try:
-                vectors[term] = np.array(values, dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedLineError(
-                    f"{path}: line {lineno}: non-numeric value ({exc})", lineno
-                ) from exc
+                dim = int(fields[1])
+            except ValueError as exc:  # more digits than int() accepts
+                raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
+            if not dim:
+                raise MalformedLineError(f"{path}: line 1: embedding dimension is 0", 1)
+            lineno = 2
+        else:
+            fh.seek(0)
+            lineno = 1
+        while lines := list(itertools.islice(fh, VECTOR_CHUNK)):
+            if dim is None or not _take_block(lines, dim, vectors):
+                dim = _take_lines(path, lines, lineno, dim, vectors)
+            lineno += len(lines)
     if dim is None or not vectors:
         raise MalformedLineError(f"{path}: embedding file is empty")
     return WordVectorStore(dim, vectors)
+
+
+def _take_block(lines, dim, vectors) -> bool:
+    """Parse a chunk with numpy's C reader; False if a line is off or a term
+    repeats, for _take_lines to keep the first or name the line."""
+    terms = [line.split(maxsplit=1)[0] for line in lines if not line.isspace()]
+    if not terms:  # loadtxt warns on a chunk with no data
+        return True
+    try:  # encoding=None: numpy < 2 hands converters latin-1 bytes, failing on other scripts
+        block = np.loadtxt(lines, np.float64, comments=None, converters={0: lambda _: 0.0},
+                           ndmin=2, encoding=None)
+    except ValueError:  # loadtxt rejects some values float() takes, e.g. 1_0
+        return False
+    unique = len(set(terms)) == len(terms) and vectors.keys().isdisjoint(terms)
+    if block.shape != (len(terms), dim + 1) or not unique:
+        return False
+    vectors.update(zip(terms, block[:, 1:]))
+    return True
+
+
+def _take_lines(path, lines, lineno, dim, vectors) -> int:
+    """Parse lines one by one from line number lineno; returns dim."""
+    for lineno, line in enumerate(lines, start=lineno):
+        fields = line.split()
+        if not fields:
+            continue
+        term, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+            if not dim:
+                raise MalformedLineError(f"{path}: line {lineno}: embedding dimension is 0",
+                                         lineno)
+        if len(values) != dim:
+            raise MalformedLineError(
+                f"{path}: line {lineno}: expected {dim} values, got {len(values)}",
+                lineno,
+            )
+        if term in vectors:
+            log.warning("duplicate term %r at line %d ignored", term, lineno)
+            continue
+        try:
+            vectors[term] = np.array(values, dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedLineError(
+                f"{path}: line {lineno}: non-numeric value ({exc})", lineno
+            ) from exc
+    return dim
 
 
 def tc_w2v(topic_words: list[str], store: WordVectorStore) -> tuple[float, int]:

@@ -124,7 +124,11 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
     """
     if f <= 1.0:
         raise InvalidFuzzifierError("fuzzification constant must be > 1")
-    d = _sq_distances(X, Q)  # (c, n)
+    return _memberships(_sq_distances(X, Q), f)
+
+
+def _memberships(d: np.ndarray, f: float) -> np.ndarray:
+    """update_memberships from the (c, n) squared distances d, made distances in place."""
     np.sqrt(d, out=d)
     expo = 2.0 / (f - 1.0)
     dmin = d.min(axis=0)
@@ -141,7 +145,10 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
 
 def update_centroids(X: np.ndarray, M: np.ndarray, f: float) -> np.ndarray:
     """Centroid update for fixed memberships: weighted mean with weights m^f."""
-    W = M**f
+    return _centroids(X, M**f)
+
+
+def _centroids(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     sums = W.sum(axis=1)
     if np.any(sums <= 0.0):
         raise EmptyClusterError("a cluster's membership weights sum to zero")
@@ -174,10 +181,14 @@ def fcm_fit(
     )
     trace: list[float] = []
     M_prev = None
+    d2 = _sq_distances(X, Q)
     for t in range(1, config.max_iter + 1):
-        M = update_memberships(X, Q, config.f)
-        Q = update_centroids(X, M, config.f)
-        trace.append(objective(X, M, Q, config.f))
+        M = _memberships(d2, config.f)
+        W = M**config.f  # for the centroids and the objective
+        Q = _centroids(X, W)
+        d2 = _sq_distances(X, Q, out=d2)  # for the objective and the next memberships
+        trace.append(float(np.sum(np.multiply(W, d2, out=W))))
+        del W  # else it lives through the next memberships, one (c, n) array above their peak
         if M_prev is not None and np.linalg.norm(M - M_prev) < config.eps:
             return FcmResult(M, Q, trace, t, True)
         M_prev = M

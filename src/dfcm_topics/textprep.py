@@ -10,6 +10,7 @@ import itertools
 import json
 import re
 import string
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -22,7 +23,8 @@ from .errors import EmptyVocabularyError, MalformedLineError
 _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 _URL_PREFIXES = ("www.", "http://", "https://")
 _STRIP_CHARS = string.punctuation + "‘’“”…"
-ENTRY_CHUNK = 256  # matrix lines per split; at 4,096 the freed field strings kept ~2 MB resident
+ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
 
 
 def clean_text(raw: str) -> str:
@@ -174,7 +176,7 @@ def read_corpus_jsonl(path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+            except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
                 raise MalformedLineError(
                     f"{path}: line {lineno}: invalid JSON ({exc})", lineno
                 ) from exc
@@ -217,7 +219,7 @@ def load_json(path, build):
     try:
         with open_text(path) as fh:
             return build(json.load(fh))
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         line = getattr(exc, "lineno", None)
         raise MalformedLineError(f"{path}: invalid JSON ({exc})", line) from exc
     except KeyError as exc:
@@ -245,20 +247,22 @@ def save_matrix(dtm: DocTermMatrix, path) -> None:
 
 
 def _fill_entries(fh, rows, cols, vals) -> bool:
-    """Parse the entry lines by chunks; False if a line is off. Each line end
-    becomes a ';' field (no good file has one), so k good lines split into k
-    (row, col, weight, ';') groups, the last maybe without its ';'."""
-    for start in range(0, len(rows), ENTRY_CHUNK):
-        k = min(ENTRY_CHUNK, len(rows) - start)
-        text = "".join(itertools.islice(fh, k))
-        fields = text.replace("\n", " ; ").split()
-        if ";" in text or fields[3::4].count(";") != len(fields) // 4:
-            return False
-        try:
-            for j, (column, kind) in enumerate(((rows, int), (cols, int), (vals, float))):
-                column[start : start + k] = np.fromiter(map(kind, fields[j::4]), column.dtype, k)
-        except (ValueError, OverflowError):
-            return False
+    """Parse the entry lines by chunks with numpy's C reader; False if a line
+    is off (too few rows means a blank line or the end of the file)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines has no data
+        # numpy < 2 parses an index like 2.0 via float, with only this warning.
+        warnings.simplefilter("error", DeprecationWarning)
+        for start in range(0, len(rows), ENTRY_CHUNK):
+            k = min(ENTRY_CHUNK, len(rows) - start)
+            try:
+                block = np.loadtxt(list(itertools.islice(fh, k)), _ENTRY, comments=None, ndmin=1)
+            except (ValueError, DeprecationWarning):
+                return False
+            if len(block) < k:
+                return False
+            at = slice(start, start + k)
+            rows[at], cols[at], vals[at] = block["row"], block["col"], block["weight"]
     return True
 
 

@@ -443,6 +443,46 @@ def test_unparseable_number_names_the_file(corpus_dir, artifacts, tmp_path, capl
         assert rc == cli.EXIT_DATA and f"{path}: " in caplog.text
 
 
+@pytest.mark.parametrize("text, line", [
+    ("topic0word00\ntopic0word01\n", 1),
+    ("2 0\ntopic0word00\ntopic0word01\n", 1),
+    ("\ntopic0word00\n", 2),
+], ids=["bare-terms", "zero-dim-header", "blank-then-bare-term"])
+def test_zero_dimensional_embeddings_are_a_data_error(tmp_path, caplog, text, line):
+    path = tmp_path / "embeddings.txt"
+    path.write_text(text)
+    topics = tmp_path / "topics.json"
+    topics.write_text(_topics_text())
+    rc = main(["evaluate", "--topics", str(topics), "--embeddings", str(path)])
+    assert rc == cli.EXIT_DATA
+    assert f"{path}: line {line}: embedding dimension is 0" in caplog.text
+
+
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("bad", ["corpus", "vocabulary", "topics", "config"])
+def test_deeply_nested_json_names_the_file(corpus_dir, artifacts, tmp_path, caplog, bad):
+    path = tmp_path / f"bad-{bad}"
+    path.write_text(DEEP_JSON + "\n" if bad == "corpus" else DEEP_JSON)
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, artifacts, tmp_path / "run", paths={"vocabulary": str(path)})
+    topics = tmp_path / "topics.json"
+    topics.write_text(_topics_text())
+    argv = {
+        "corpus": ["vectorize", "--corpus", path, "--out-dir", tmp_path / "vec"],
+        "vocabulary": ["detect", "--config", cfg, "--seed", "1"],
+        "topics": ["evaluate", "--topics", path, "--embeddings", corpus_dir / "embeddings.txt"],
+        "config": ["detect", "--config", path, "--seed", "1"],
+    }[bad]
+    rc = main([str(arg) for arg in argv])
+    if bad == "config":
+        assert rc == cli.EXIT_CONFIG and f"cannot read config {path}: " in caplog.text
+    else:
+        where = f"{path}: line 1: " if bad == "corpus" else f"{path}: invalid JSON"
+        assert rc == cli.EXIT_DATA and where in caplog.text
+
+
 def test_readme_config_example_loads(tmp_path):
     examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert len(examples) == 1

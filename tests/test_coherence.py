@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dfcm_topics import coherence
 from dfcm_topics.errors import (
@@ -55,6 +57,146 @@ class TestLoadWordVectors:
         path.write_text("a 1 0\na 0 1\n")
         store = coherence.load_word_vectors(path)
         np.testing.assert_array_equal(store.vectors["a"], [1, 0])
+
+
+def reference_load_word_vectors(path):
+    """The whole-file line loop that the chunked loader must agree with."""
+    vectors = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if lineno == 1 and len(fields) == 2 and all(p.isdecimal() for p in fields):
+                try:
+                    dim = int(fields[1])
+                except ValueError as exc:
+                    raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
+                if not dim:
+                    raise MalformedLineError(f"{path}: line 1: embedding dimension is 0", 1)
+                continue
+            if not fields:
+                continue
+            term, values = fields[0], fields[1:]
+            if dim is None:
+                dim = len(values)
+                if not dim:
+                    raise MalformedLineError(
+                        f"{path}: line {lineno}: embedding dimension is 0", lineno
+                    )
+            if len(values) != dim:
+                raise MalformedLineError(
+                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}", lineno
+                )
+            if term in vectors:
+                coherence.log.warning("duplicate term %r at line %d ignored", term, lineno)
+                continue
+            try:
+                vectors[term] = np.array(values, dtype=np.float64)
+            except ValueError as exc:
+                raise MalformedLineError(
+                    f"{path}: line {lineno}: non-numeric value ({exc})", lineno
+                ) from exc
+    if dim is None or not vectors:
+        raise MalformedLineError(f"{path}: embedding file is empty")
+    return coherence.WordVectorStore(dim, vectors)
+
+
+def _load_outcome(load, path, caplog):
+    """What a loader returns or raises, with the warnings it logs; values as bits."""
+    caplog.clear()
+    try:
+        store = load(path)
+        result = (store.dim, list(store.vectors), [v.tobytes() for v in store.vectors.values()])
+    except MalformedLineError as exc:
+        result = (type(exc), str(exc), exc.line_number)
+    return result, [r.getMessage() for r in caplog.records]
+
+
+def assert_chunked_load_matches_reference(path, caplog):
+    expected = _load_outcome(reference_load_word_vectors, path, caplog)
+    for chunk in (1, 2, 3, 64):
+        with mock.patch.object(coherence, "VECTOR_CHUNK", chunk):
+            assert _load_outcome(coherence.load_word_vectors, path, caplog) == expected, chunk
+    return expected[0]
+
+
+_TERMS = ["a", "b", "c", "d", "e", "ä", "日本", "1", "x_y"]
+_GOOD_VALUES = ["0", "1", "-0", "+1.5", "-2.25e-3", "nan", "-nan", "inf", "1e400", "5e-324"]
+_ODD_VALUES = ["1_0", "١٢", "１", "x", "0x10", "1e"]  # loadtxt takes none
+_SEPARATORS = [" ", "  ", "\t", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
+_LONG = [f"w{i} {i} 1" for i in range(1, 71)]  # 70 lines; chunks end after 64
+
+
+def _with_line(lines, lineno, text):
+    return "\n".join(lines[: lineno - 1] + [text] + lines[lineno:]) + "\n"
+
+
+@st.composite
+def embedding_texts(draw):
+    dim = draw(st.integers(0, 3))
+    value = st.sampled_from(_GOOD_VALUES) | st.sampled_from(_ODD_VALUES)
+    term = st.sampled_from(_TERMS)
+    line = st.one_of(
+        st.tuples(term, st.lists(value, min_size=dim, max_size=dim)),
+        st.tuples(term, st.lists(st.sampled_from(_GOOD_VALUES), min_size=dim, max_size=dim)),
+        st.tuples(term, st.lists(value, max_size=4)),
+        st.sampled_from(["", " "]),
+    )
+    sep = draw(st.sampled_from(_SEPARATORS))
+    lines = [x if isinstance(x, str) else sep.join([x[0], *x[1]]) for x in draw(st.lists(line))]
+    header = draw(st.sampled_from(["", f"{len(lines)} {dim}", "2 0", "3 2"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(([header] if header else []) + lines)
+    return text + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=embedding_texts())
+@example(text="a 1_0 2\nb \u0661\u0662 3\n")
+@example(text="a 1 2\nb 3 4\na 5 6\nc 7 8\n")  # a duplicate within a chunk of 64
+def test_chunked_load_matches_line_loop(tmp_path, caplog, text):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_chunked_load_matches_reference(path, caplog)
+
+
+@pytest.mark.parametrize("text, error_line", [
+    ("a 1_0 2\nb \u0661\u0662 3\n", None),
+    ("a 1 2\nb 3 4\na 5 6\n", None),
+    (_with_line(_LONG, 66, "w2 9 9"), None),  # a duplicate across the chunk boundary
+    ("\na 1 2\n\n  \nb 3 4\n\n", None),
+    ("a 1 2\r\nb 3 4\r\n", None),
+    ("a 1 2\nb 3 4", None),
+    ("2 2\na 1 2\nb 3 4\n", None),
+    ("2 2\na 1 2\nb 3\n", 3),
+    *[(f"a{sep}1{sep}2\nb{sep}3{sep}4\n", None)
+      for sep in ["\t", " ", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]],
+    *[(_with_line(_LONG, n, f"w{n} x 1"), n) for n in (64, 65, 66)],
+    ("2 0\na\nb\n", 1),
+    ("a\nb\n", 1),
+], ids=["underscore-arabic-digits", "duplicate-in-chunk", "duplicate-across-chunks",
+        "blank-lines", "crlf", "no-final-newline", "header", "header-short-line",
+        "tab", "space", "form-feed", "file-separator", "next-line", "no-break-space",
+        "ideographic-space", "bad-line-64", "bad-line-65", "bad-line-66", "zero-dim-header",
+        "zero-dim-terms"])
+def test_chunked_load_examples(tmp_path, caplog, text, error_line):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    result = assert_chunked_load_matches_reference(path, caplog)
+    if error_line is None:
+        assert isinstance(result[0], int)
+    else:
+        assert result[0] is MalformedLineError and result[2] == error_line
+
+
+def test_regular_chunks_skip_the_line_loop(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("3 2\n\u65e5\u672c 1 2\n\u00e4 3 4\nb 5 6\n", encoding="utf-8")
+    with mock.patch.object(coherence, "_take_lines", side_effect=AssertionError):
+        store = coherence.load_word_vectors(path)
+    assert list(store.vectors) == ["\u65e5\u672c", "\u00e4", "b"]
+    assert all(v.base is not None for v in store.vectors.values())  # row views of one block
 
 
 class TestCosine:

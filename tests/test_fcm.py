@@ -251,6 +251,41 @@ class TestUpdateCentroids:
             fcm.update_centroids(X, M, 2.0)
 
 
+def reference_fcm_fit(X, config, init):
+    """fcm_fit as three public updates per iteration, each with its own distance pass."""
+    Q = init
+    trace, M_prev = [], None
+    for t in range(1, config.max_iter + 1):
+        M = fcm.update_memberships(X, Q, config.f)
+        Q = fcm.update_centroids(X, M, config.f)
+        trace.append(fcm.objective(X, M, Q, config.f))
+        if M_prev is not None and np.linalg.norm(M - M_prev) < config.eps:
+            return fcm.FcmResult(M, Q, trace, t, True)
+        M_prev = M
+    return fcm.FcmResult(M, Q, trace, t, False)
+
+
+def _fcm_data():
+    """Blobs in 4-D with a run of repeated rows, some of them initial centroids."""
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(loc=rng.normal(scale=4.0, size=4), size=(12, 4)) for _ in range(5)])
+    return np.vstack([X[:12], X[:12], X])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 10, 40])
+@pytest.mark.parametrize("f", [1.01, 1.1, 2.0])
+@pytest.mark.parametrize("init", ["kmeans", "rows"])
+def test_fcm_fit_matches_reference_bit_for_bit(c, f, init):
+    X = _fcm_data()
+    Q = fcm.kmeans_init(X, c, runs=3, seed=c) if init == "kmeans" else X[:c].copy()
+    cfg = fcm.FcmConfig(c=c, f=f, max_iter=60, eps=1e-6)
+    got, want = fcm.fcm_fit(X, cfg, init=Q), reference_fcm_fit(X, cfg, Q)
+    np.testing.assert_array_equal(got.memberships, want.memberships)
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    assert got.objective_trace == want.objective_trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
 class TestFcmFit:
     def test_fixed_point_at_distinct_points(self):
         X = np.array([[0.0, 0.0], [10.0, 0.0]])

@@ -300,6 +300,36 @@ class TestSerialization:
             with mock.patch.object(textprep, "ENTRY_CHUNK", chunk):
                 assert outcome() == expected, chunk
 
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 12])
+    @pytest.mark.parametrize("entry, parsed", [
+        ("1_0 0 0.5", (10, 0, 0.5)),  # int() and float() take these; numpy's reader does not
+        ("0 \u0661\u0661 0.5", (0, 11, 0.5)),
+        ("1 0 1_0.5", (1, 0, 10.5)),
+        ("99999999999999999999 0 0.5", "Python int too large"),  # OverflowError in the loop
+    ], ids=["underscore-index", "arabic-indic-index", "underscore-weight", "index-past-int64"])
+    def test_entries_only_the_line_loop_reads(self, tmp_path, monkeypatch, chunk, entry, parsed):
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"12 12 3\n0 0 1\n{entry}\n2 2 1\n", encoding="utf-8")
+        monkeypatch.setattr(textprep, "ENTRY_CHUNK", chunk)
+        if isinstance(parsed, str):
+            with pytest.raises(MalformedLineError, match=parsed) as err:
+                textprep.load_matrix(path)
+            assert err.value.line_number == 3
+            assert str(err.value).startswith(f"{path}: line 3: ")
+        else:
+            mat = textprep.load_matrix(path).matrix
+            assert mat.nnz == 3 and mat[parsed[0], parsed[1]] == parsed[2]
+
+    def test_regular_entries_skip_the_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "entries.txt"
+        path.write_text("0 0 0.5\n1 2 3\n2 1 1e-3\n")
+        monkeypatch.setattr(textprep, "ENTRY_CHUNK", 2)
+        rows, cols, vals = np.empty(3, np.int64), np.empty(3, np.int64), np.empty(3)
+        with open(path) as fh:
+            assert textprep._fill_entries(fh, rows, cols, vals)
+        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 2, 1]
+        assert vals.tolist() == [0.5, 3.0, 1e-3]
+
     def test_vocabulary_round_trip(self, tmp_path):
         docs = [["b", "a"] for _ in range(10)]
         vocab = textprep.build_vocabulary(docs, set())
