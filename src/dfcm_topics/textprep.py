@@ -21,9 +21,10 @@ from .errors import EmptyVocabularyError, MalformedLineError
 
 # Any unicode letter repeated 3+ times; digits and punctuation are left alone.
 _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
-_URL_PREFIXES = ("www.", "http://", "https://")
+_DROP_PREFIXES = ("www.", "http://", "https://", "@")  # URLs and @user mentions
 _STRIP_CHARS = string.punctuation + "‘’“”…"
 ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
+WRITE_CHUNK = 16384  # matrix lines formatted per write
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
 
 
@@ -34,15 +35,15 @@ def clean_text(raw: str) -> str:
     and collapses runs of 3+ identical letters down to 2. The result is
     a single-space-joined token string; cleaning is idempotent.
     """
+    lowered = raw.lower()
+    # A collapse never touches whitespace or '#', so both splits pair up token by token.
+    collapsed = _REPEAT_RE.sub(r"\1\1", lowered)
     out = []
-    for token in raw.lower().split():
+    for before, token in zip(lowered.split(), collapsed.split()):
         token = token.lstrip("#")
-        if token.startswith(_URL_PREFIXES) or token.startswith("@"):
-            continue
-        token = _REPEAT_RE.sub(r"\1\1", token)
-        # Collapsing can expose a URL prefix (e.g. "htttp://"); recheck so
+        # Check before ("www.x") and after ("htttp://x") the collapse, so
         # cleaning is a fixed point.
-        if token.startswith(_URL_PREFIXES) or token.startswith("@"):
+        if before.lstrip("#").startswith(_DROP_PREFIXES) or token.startswith(_DROP_PREFIXES):
             continue
         if token:
             out.append(token)
@@ -186,7 +187,7 @@ def read_corpus_jsonl(path) -> list[dict]:
                     lineno,
                 )
             doc_id = str(obj["id"])  # 5 and "5" are the same id
-            if not obj["id"] or doc_id in seen:
+            if obj["id"] is None or not doc_id or doc_id in seen:  # 0 is the id "0"
                 raise MalformedLineError(
                     f"{path}: line {lineno}: duplicate or empty document id {obj['id']!r}",
                     lineno,
@@ -242,8 +243,10 @@ def save_matrix(dtm: DocTermMatrix, path) -> None:
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
+        for start in range(0, coo.nnz, WRITE_CHUNK):
+            at = order[start : start + WRITE_CHUNK]
+            entries = zip(coo.row[at].tolist(), coo.col[at].tolist(), coo.data[at].tolist())
+            fh.write("".join(map("%d %d %.17g\n".__mod__, entries)))
 
 
 def _fill_entries(fh, rows, cols, vals) -> bool:

@@ -76,7 +76,11 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
         raise DimensionMismatchError(
             f"vector length {mu.shape[0]} != vocabulary size {len(vocab)}"
         )
-    positive = [(float(mu[j]), vocab.terms[j]) for j in np.nonzero(mu > 0)[0]]
+    keep = np.flatnonzero(mu > 0)
+    if len(keep) > n:  # only terms at or above the n-th largest weight, ties included
+        cut = np.partition(mu[keep], len(keep) - n)[len(keep) - n]
+        keep = keep[mu[keep] >= cut]
+    positive = [(float(mu[j]), vocab.terms[j]) for j in keep]
     positive.sort(key=lambda wt: (-wt[0], wt[1]))
     words = [(term, weight) for weight, term in positive[:n]]
     warning = None

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import dfcm_topics
 from dfcm_topics import textprep
 from dfcm_topics.autoencoder import TrainConfig
 from dfcm_topics.cli import main
@@ -156,6 +160,27 @@ class TestDetect:
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--config", str(cfg)])
         assert exc.value.code == cli.EXIT_CONFIG
+
+
+_CLI = "import sys; from dfcm_topics.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("method", ["efcm", "dfcm"])
+def test_topic_words_same_at_one_and_two_blas_threads(artifacts, tmp_path, method):
+    src = str(Path(dfcm_topics.__file__).parents[1])
+    words = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        cfg = _write_config(tmp_path / f"cfg{threads}.json", artifacts, out, method=method,
+                            train={"epochs": 2})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _CLI, "detect", "--config", str(cfg), "--seed", "7"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        topic_set = json.loads((out / "topics.json").read_text())["topics"]
+        words.append([[w["term"] for w in t["words"]] for t in topic_set])
+    assert words[0] == words[1] and all(words[0])
 
 
 class TestEvaluate:

@@ -50,6 +50,33 @@ class TestCleanText:
     def test_collapse_matches_scan_oracle(self, tok):
         assert textprep.clean_text(tok) == collapse_oracle(tok)
 
+    # Letter runs, hashtags, mentions, URL prefixes (one exposed only by the
+    # collapse), digits, '_', letters whose case mapping changes length, and
+    # whitespace that str.split() breaks on but a plain space test would miss.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "a", "aaa", "B", "BBBB", "ß", "ßßß", "İ", "İİİ", "#", "@", "www.", "wwww.",
+        "http://", "https://", "htttp://", "htttps://", "hhttp://", "1", "111", "_", "___",
+        ".", "x", " ", "\xa0", "\u3000", "\x1c", "\n",
+    ]), max_size=16).map("".join))
+    def test_matches_per_token_reference(self, raw):
+        assert textprep.clean_text(raw) == reference_clean_text(raw)
+
+
+def reference_clean_text(raw):
+    """The per-token loop clean_text used to run, one collapse per token: its oracle."""
+    out = []
+    for token in raw.lower().split():
+        token = token.lstrip("#")
+        if token.startswith(("www.", "http://", "https://", "@")):
+            continue
+        token = textprep._REPEAT_RE.sub(r"\1\1", token)
+        if token.startswith(("www.", "http://", "https://", "@")):
+            continue
+        if token:
+            out.append(token)
+    return " ".join(out)
+
 
 class TestTokenize:
     def test_punctuation_strip(self):
@@ -222,7 +249,32 @@ class TestMatchesReferenceLoops:
         assert_matches_reference(corpus, stopwords, _unpruned_vocab(corpus[: len(corpus) // 2 + 1]))
 
 
+def reference_save_matrix(dtm, path):
+    """The per-entry writer save_matrix used to run, one write per line: its oracle."""
+    coo = dtm.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
+        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+            fh.write(f"{r} {c} {v:.17g}\n")
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, textprep.WRITE_CHUNK])
+    @pytest.mark.parametrize("data, indices, indptr, shape", [
+        ([5e-324, 0.1, 1e300, 2.5], [3, 0, 2, 1], [0, 0, 3, 3, 4, 4], (5, 4)),
+        ([1.0, 1 / 3, 7.0], [2, 0, 1], [0, 3, 3], (2, 3)),
+        ([], [], [0, 0, 0], (2, 3)),
+    ], ids=["empty-rows-unsorted-tiny-huge", "unsorted-row", "zero-nnz"])
+    def test_matrix_written_in_chunks_as_per_entry(self, tmp_path, monkeypatch,
+                                                    chunk, data, indices, indptr, shape):
+        mat = sp.csr_matrix((np.array(data, dtype=np.float64), indices, indptr), shape=shape)
+        dtm = textprep.DocTermMatrix(mat)
+        reference_save_matrix(dtm, tmp_path / "want.txt")
+        monkeypatch.setattr(textprep, "WRITE_CHUNK", chunk)
+        textprep.save_matrix(dtm, tmp_path / "got.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
     def test_matrix_round_trip(self, tmp_path):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
@@ -349,6 +401,19 @@ class TestReadCorpus:
             textprep.read_corpus_jsonl(path)
         assert err.value.line_number == 2
         assert str(path) in str(err.value)
+
+    def test_integer_id_zero_is_the_id_0(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 0, "text": "a b"}\n{"id": 1, "text": "c"}\n')
+        assert [d["id"] for d in textprep.read_corpus_jsonl(path)] == ["0", "1"]
+
+    @pytest.mark.parametrize("empty", ['""', "null"])
+    def test_empty_or_null_id_is_named(self, tmp_path, empty):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f'{{"id": 0, "text": "a"}}\n{{"id": {empty}, "text": "b"}}\n')
+        with pytest.raises(MalformedLineError, match="line 2: duplicate or empty") as err:
+            textprep.read_corpus_jsonl(path)
+        assert err.value.line_number == 2
 
 
 class TestStopwords:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfcm_topics import fcm, topics
 from dfcm_topics.autoencoder import TrainConfig
@@ -37,6 +38,28 @@ class TestExtractTopWords:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             topics.extract_top_words(np.ones(2), _vocab(["a", "b", "c"]), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, -1.0, 5e-324, 0.25, 0.5, 1.0, 3.0, np.nan]),
+                         min_size=1, max_size=12),
+        n=st.integers(1, 6),
+    )
+    def test_matches_full_sort_reference(self, weights, n):
+        vocab = _vocab([f"t{j:02d}" for j in range(len(weights))])
+        mu = np.array(weights)
+        assert topics.extract_top_words(mu, vocab, n) == reference_top_words(mu, vocab, n)
+
+
+def reference_top_words(mu, vocab, n):
+    """The full sort of every positive weight extract_top_words used to run: its oracle."""
+    positive = [(float(mu[j]), vocab.terms[j]) for j in np.nonzero(mu > 0)[0]]
+    positive.sort(key=lambda wt: (-wt[0], wt[1]))
+    words = [(term, weight) for weight, term in positive[:n]]
+    warning = None
+    if len(words) < n:
+        warning = f"only {len(words)} strictly positive weights available"
+    return words, warning
 
 
 def _pipeline_cfg(method, seed, epochs=15):
