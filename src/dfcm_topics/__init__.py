@@ -20,6 +20,6 @@ from .textprep import (
     tokenize,
     vectorize_tfidf,
 )
-from .topics import PipelineConfig, Topic, TopicSet, detect, dfcm_detect, efcm_detect
+from .topics import PipelineConfig, Topic, TopicSet, cluster_topics, detect, represent
 
 __version__ = "0.1.0"

@@ -168,16 +168,6 @@ def _mse_and_grad(Y, target):
     return float(np.sum(diff**2) / n), 2.0 * diff / n
 
 
-def backprop_gradients(model: AutoencoderModel, batch: np.ndarray):
-    """Exact MSE-loss gradients for every weight and bias, encoder first."""
-    batch = np.asarray(batch, dtype=np.float64)
-    Y, caches = _forward(model.layers, batch)
-    _, dOut = _mse_and_grad(Y, batch)
-    grads = [(np.empty_like(layer.weights), np.empty_like(layer.bias)) for layer in model.layers]
-    _backward(model.layers, caches, dOut, grads)
-    return grads
-
-
 def reconstruction_loss(model: AutoencoderModel, X) -> float:
     """Full-data reconstruction MSE (dropout off)."""
     loss, _ = _mse_and_grad(_infer(model.layers, X), _densify(X))

@@ -158,8 +158,7 @@ def cmd_vectorize(args) -> int:
     return EXIT_OK
 
 
-def _run_detection(vocab, dtm, pipe_cfg, out: Path):
-    result = topics.detect(dtm, vocab, pipe_cfg)
+def _save_detection(result: topics.DetectionResult, pipe_cfg, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     topics.save_topic_set(result.topic_set, out / "topics.json")
     fit = result.fcm_result
@@ -175,10 +174,9 @@ def _run_detection(vocab, dtm, pipe_cfg, out: Path):
             "converged": fit.converged,
         },
     )
-    if result.model is not None:
-        final_loss = result.train_trace[-1] if result.train_trace else None
-        save_checkpoint(result.model, out / "model.bin", pipe_cfg.train, final_loss)
-    return result
+    model, trace = result.rep.model, result.rep.train_trace
+    if model is not None:
+        save_checkpoint(model, out / "model.bin", pipe_cfg.train, trace[-1])
 
 
 def cmd_detect(args) -> int:
@@ -186,7 +184,8 @@ def cmd_detect(args) -> int:
     pipe_cfg = _pipeline_config(cfg, args.seed)
     vocab, dtm = _load_artifacts(cfg)
     out = Path(_require_path(cfg, "out_dir"))
-    result = _run_detection(vocab, dtm, pipe_cfg, out)
+    result = topics.detect(dtm, vocab, pipe_cfg)
+    _save_detection(result, pipe_cfg, out)
     for warning in result.topic_set.warnings:
         log.warning("%s", warning)
     print(f"wrote {out / 'topics.json'} ({len(result.topic_set.topics)} topics)")
@@ -217,26 +216,32 @@ def cmd_compare(args) -> int:
 
     rows = []
     for method in methods:
-        for c in cluster_list:
-            for epochs in epoch_list:
-                cell_seed = stage_seed(args.seed, method, c, epochs)
-                cell_dir = out / f"{method}_c{c}_e{epochs}"
-                cell = {**cfg, "method": method, "clusters": c, "epochs": epochs}
+        for epochs in epoch_list if method == "dfcm" else epoch_list[:1]:  # a DFCM-only axis
+            group_seed = stage_seed(args.seed, method, epochs)  # cell = detect --seed group_seed
+            group = {**cfg, "method": method, "epochs": epochs}
+            rep = result = failure = None  # frees the last group's codes and model first
+            try:
+                rep = topics.represent(dtm, _pipeline_config(group, group_seed))
+            except DfcmError as exc:
+                log.error("group (%s, epochs=%s) failed: %s", method, epochs, exc)
+                failure = f"error: {exc}"
+            for c in cluster_list:
                 row = {"method": method, "p": cfg["dim"], "c": c,
                        "epochs": epochs if method == "dfcm" else "",
-                       "mean_score": "", "topic_scores": "", "status": "ok"}
+                       "mean_score": "", "topic_scores": "", "status": failure or "ok"}
+                rows.append(row)
+                if failure:
+                    continue
                 try:
-                    pipe_cfg = _pipeline_config(cell, cell_seed)
-                    result = _run_detection(vocab, dtm, pipe_cfg, cell_dir)
+                    pipe_cfg = _pipeline_config({**group, "clusters": c}, group_seed)
+                    result = topics.cluster_topics(rep, vocab, pipe_cfg)
+                    _save_detection(result, pipe_cfg, out / f"{method}_c{c}_e{epochs}")
                     report = coherence.evaluate(result.topic_set, store)
                     row["mean_score"] = f"{report.mean_score:.17g}"
                     row["topic_scores"] = ";".join(f"{s:.17g}" for _, s, _ in report.per_topic)
                 except DfcmError as exc:
                     log.error("cell (%s, c=%d, epochs=%s) failed: %s", method, c, epochs, exc)
                     row["status"] = f"error: {exc}"
-                rows.append(row)
-                if method == "efcm":
-                    break  # epochs are a DFCM-only axis
 
     csv_path = out / "compare.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

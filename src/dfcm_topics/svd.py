@@ -31,7 +31,7 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 
 def dense_truncated_svd(D, p: int) -> TruncatedSvd:
-    """Exact dense decomposition; fallback and test oracle for small matrices."""
+    """Exact dense decomposition: the test oracle for truncated_svd on small matrices."""
     A = _as_operator(D)
     if sp.issparse(A):
         A = A.toarray()

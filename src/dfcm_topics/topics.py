@@ -1,11 +1,13 @@
-"""DFCM and EFCM topic-detection pipelines.
+"""DFCM and EFCM topic detection: one pipeline, two representations.
 
-Both follow the same shape: transform the document-term matrix into a
-low-dimensional space, run fuzzy c-means there, map the centroids back
-to term space, rectify to nonnegative weights, and rank topic words.
+`represent`, the only method-specific stage, maps the documents to codes
+by the autoencoder (DFCM) or the truncated SVD (EFCM) and returns the map
+back to term space. `cluster_topics` runs fuzzy c-means on the codes, maps
+the centroids back, rectifies and ranks topic words. `detect` runs both.
 """
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,13 +58,19 @@ class TopicSet:
     warnings: list[str] = field(default_factory=list)
 
 
+class Representation(NamedTuple):
+    codes: np.ndarray  # (n_docs, p)
+    back_map: Callable[[np.ndarray], np.ndarray]  # code-space rows -> term space
+    model: ae.AutoencoderModel | None = None  # dfcm only
+    train_trace: list[float] | None = None
+
+
 @dataclass
 class DetectionResult:
     topic_set: TopicSet
     fcm_result: FcmResult
     topic_vectors: np.ndarray  # (c, n_terms), rectified
-    model: ae.AutoencoderModel | None = None  # dfcm only
-    train_trace: list[float] | None = None
+    rep: Representation  # the codes, back-map and (dfcm) model the topics came from
 
 
 def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
@@ -89,9 +97,24 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
     return words, warning
 
 
-def _build_topic_set(topic_vectors, vocab, method, cfg, extra_warnings=()):
+def represent(D: DocTermMatrix, cfg: PipelineConfig) -> Representation:
+    """Map the documents to p-dimensional codes: autoencoder (dfcm) or truncated SVD (efcm)."""
+    if cfg.method == "efcm":
+        decomp = tsvd.truncated_svd(D, cfg.p, seed=stage_seed(cfg.seed, "svd"))
+        return Representation(tsvd.project(D, decomp), lambda C: tsvd.back_project(C, decomp))
+    model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
+    ae.greedy_pretrain(D.matrix, model, cfg.train)
+    model, trace = ae.fine_tune(D.matrix, model, cfg.train)
+    return Representation(ae.encode(model, D.matrix), lambda C: ae.decode(model, C), model, trace)
+
+
+def cluster_topics(rep: Representation, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
+    """Fuzzy c-means on the codes; map the centroids back, rectify and rank their words."""
+    init = kmeans_init(rep.codes, cfg.fcm.c, cfg.fcm.init_runs, cfg.fcm.seed)
+    result = fcm_fit(rep.codes, cfg.fcm, init=init)
+    topic_vectors = np.maximum(0.0, rep.back_map(result.centroids))
     topics = []
-    warnings = list(extra_warnings)
+    warnings = []
     for i, mu in enumerate(topic_vectors):
         if not np.any(mu > 0):
             warnings.append(f"topic {i} is degenerate: all weights zero")
@@ -99,43 +122,12 @@ def _build_topic_set(topic_vectors, vocab, method, cfg, extra_warnings=()):
         if warn:
             warnings.append(f"topic {i}: {warn}")
         topics.append(Topic(words))
-    return TopicSet(topics, method, asdict(cfg), warnings)
-
-
-def _cluster(X: np.ndarray, cfg: PipelineConfig) -> FcmResult:
-    init = kmeans_init(X, cfg.fcm.c, cfg.fcm.init_runs, cfg.fcm.seed)
-    return fcm_fit(X, cfg.fcm, init=init)
-
-
-def dfcm_detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
-    """Autoencoder pipeline: train, encode, cluster, decode, rectify, rank."""
-    assert cfg.method == "dfcm"
-    model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
-    ae.greedy_pretrain(D.matrix, model, cfg.train)
-    model, trace = ae.fine_tune(D.matrix, model, cfg.train)
-
-    codes = ae.encode(model, D.matrix)
-    result = _cluster(codes, cfg)
-    topic_vectors = np.maximum(0.0, ae.decode(model, result.centroids))
-    topic_set = _build_topic_set(topic_vectors, vocab, "dfcm", cfg)
-    return DetectionResult(topic_set, result, topic_vectors, model, trace)
-
-
-def efcm_detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
-    """Eigenspace pipeline: project by truncated SVD, cluster, back-project."""
-    assert cfg.method == "efcm"
-    decomp = tsvd.truncated_svd(D, cfg.p, seed=stage_seed(cfg.seed, "svd"))
-    coords = tsvd.project(D, decomp)
-    result = _cluster(coords, cfg)
-    topic_vectors = np.maximum(0.0, tsvd.back_project(result.centroids, decomp))
-    topic_set = _build_topic_set(topic_vectors, vocab, "efcm", cfg)
-    return DetectionResult(topic_set, result, topic_vectors)
+    topic_set = TopicSet(topics, cfg.method, asdict(cfg), warnings)
+    return DetectionResult(topic_set, result, topic_vectors, rep)
 
 
 def detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
-    if cfg.method == "dfcm":
-        return dfcm_detect(D, vocab, cfg)
-    return efcm_detect(D, vocab, cfg)
+    return cluster_topics(represent(D, cfg), vocab, cfg)
 
 
 def save_topic_set(topic_set: TopicSet, path) -> None:

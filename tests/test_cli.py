@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -7,7 +8,8 @@ import sys
 from pathlib import Path
 
 import dfcm_topics
-from dfcm_topics import textprep
+from dfcm_topics import autoencoder as ae
+from dfcm_topics import textprep, topics
 from dfcm_topics.autoencoder import TrainConfig
 from dfcm_topics.cli import main
 from dfcm_topics.errors import ConfigError
@@ -221,6 +223,94 @@ class TestCompare:
         lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 methods x 2 cluster counts
         assert lines[0].startswith("method,p,c,epochs,mean_score")
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    @staticmethod
+    def _sweep_config(path, corpus_dir, artifacts, out_dir, compare, **overrides):
+        # The criterion-10 run configuration with the given compare section.
+        cfg = {
+            "method": "dfcm",
+            "dim": 5,
+            "clusters": 3,
+            "train": {"epochs": 3, "batch_size": 256},
+            "paths": {
+                "vocabulary": str(artifacts / "vocabulary.json"),
+                "matrix": str(artifacts / "matrix.txt"),
+                "embeddings": str(corpus_dir / "embeddings.txt"),
+                "out_dir": str(out_dir),
+            },
+            "compare": compare,
+            **overrides,
+        }
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_each_cell_is_a_detect_run_with_its_group_seed(
+        self, corpus_dir, artifacts, tmp_path, monkeypatch
+    ):
+        fine_tunes = self._counting(monkeypatch, ae, "fine_tune")
+        out = tmp_path / "sweep"
+        compare = {"methods": ["dfcm", "efcm"], "clusters": [2, 3], "epochs": [2]}
+        cfg = self._sweep_config(tmp_path / "cfg.json", corpus_dir, artifacts, out, compare)
+        assert main(["compare", "--config", str(cfg), "--seed", "13"]) == 0
+        assert len(fine_tunes) == 1  # one DFCM group, trained once for both c
+        for method in ("dfcm", "efcm"):
+            group_seed = stage_seed(13, method, 2)
+            for c in (2, 3):
+                ref = tmp_path / f"detect_{method}_{c}"
+                assert main([
+                    "detect", "--config", str(cfg), "--seed", str(group_seed),
+                    "--method", method, "--clusters", str(c), "--epochs", "2",
+                    "--out-dir", str(ref),
+                ]) == 0
+                cell = out / f"{method}_c{c}_e2"
+                names = ["topics.json", "memberships.txt", "objective_trace.json"]
+                if method == "dfcm":
+                    names += ["model.bin", "model.bin.json"]
+                assert sorted(f.name for f in cell.iterdir()) == sorted(names)
+                for name in names:
+                    assert (cell / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_rows_run_method_then_epochs_then_clusters(
+        self, corpus_dir, artifacts, tmp_path, monkeypatch
+    ):
+        fine_tunes = self._counting(monkeypatch, ae, "fine_tune")
+        out = tmp_path / "sweep"
+        compare = {"methods": ["efcm", "dfcm"], "clusters": [3, 2], "epochs": [1, 2]}
+        cfg = self._sweep_config(tmp_path / "cfg.json", corpus_dir, artifacts, out, compare)
+        assert main(["compare", "--config", str(cfg), "--seed", "5"]) == 0
+        assert len(fine_tunes) == 2  # one per DFCM epochs value
+        with open(out / "compare.csv", newline="") as fh:
+            rows = [(r["method"], r["epochs"], r["c"], r["status"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            ("efcm", "", "3", "ok"), ("efcm", "", "2", "ok"),
+            ("dfcm", "1", "3", "ok"), ("dfcm", "1", "2", "ok"),
+            ("dfcm", "2", "3", "ok"), ("dfcm", "2", "2", "ok"),
+        ]
+        assert (out / "efcm_c3_e1").is_dir() and not (out / "efcm_c3_e2").exists()
+
+    def test_failed_representation_is_computed_once_per_group(
+        self, corpus_dir, artifacts, tmp_path, monkeypatch
+    ):
+        represents = self._counting(monkeypatch, topics, "represent")
+        out = tmp_path / "sweep"
+        compare = {"methods": ["efcm"], "clusters": [2, 3, 4]}
+        cfg = self._sweep_config(tmp_path / "cfg.json", corpus_dir, artifacts, out, compare,
+                                 dim=100)  # above the 60-term vocabulary's rank
+        assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+        assert len(represents) == 1
+        with open(out / "compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["c"] for r in rows] == ["2", "3", "4"]
+        assert {r["status"] for r in rows} == {"error: rank 100 exceeds min((300, 60))"}
+        assert all(r["mean_score"] == "" for r in rows)
+        assert not any(out.glob("efcm_c*"))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

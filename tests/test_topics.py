@@ -74,13 +74,13 @@ def _pipeline_cfg(method, seed, epochs=15):
 class TestEfcmPipeline:
     def test_planted_recovery(self):
         sets, vocab, dtm, _ = planted_matrix(0)
-        result = topics.efcm_detect(dtm, vocab, _pipeline_cfg("efcm", 0))
+        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 0))
         ok, fractions = topic_recovery(result.topic_set, sets)
         assert ok, f"per-topic matched fractions {fractions}"
 
     def test_nonnegative_weights(self):
         sets, vocab, dtm, _ = planted_matrix(1)
-        result = topics.efcm_detect(dtm, vocab, _pipeline_cfg("efcm", 1))
+        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 1))
         assert np.all(result.topic_vectors >= 0)
         for topic in result.topic_set.topics:
             assert all(w >= 0 for _, w in topic.words)
@@ -93,21 +93,16 @@ class TestEfcmPipeline:
         cfg = topics.PipelineConfig(
             "efcm", p=1, c=1, fcm=FcmConfig(c=1, f=1.1), top_n=10, seed=0
         )
-        result = topics.efcm_detect(dtm, vocab, cfg)
+        result = topics.detect(dtm, vocab, cfg)
         assert len(result.topic_set.topics) == 1
 
     def test_fcm_fixed_point_consistency(self):
         # Rerunning FCM from the returned centroids barely moves M.
         sets, vocab, dtm, _ = planted_matrix(2)
         cfg = _pipeline_cfg("efcm", 2)
-        result = topics.efcm_detect(dtm, vocab, cfg)
-        from dfcm_topics import svd as tsvd
-        from dfcm_topics.seeding import stage_seed
-
-        decomp = tsvd.truncated_svd(dtm, cfg.p, seed=stage_seed(cfg.seed, "svd"))
-        coords = tsvd.project(dtm, decomp)
+        result = topics.detect(dtm, vocab, cfg)
         rerun = fcm.fcm_fit(
-            coords,
+            topics.represent(dtm, cfg).codes,
             FcmConfig(c=3, f=1.1, max_iter=1000, eps=cfg.fcm.eps),
             init=result.fcm_result.centroids,
         )
@@ -118,7 +113,7 @@ class TestEfcmPipeline:
 class TestDfcmPipeline:
     def test_planted_recovery(self):
         sets, vocab, dtm, _ = planted_matrix(0)
-        result = topics.dfcm_detect(dtm, vocab, _pipeline_cfg("dfcm", 0))
+        result = topics.detect(dtm, vocab, _pipeline_cfg("dfcm", 0))
         ok, fractions = topic_recovery(result.topic_set, sets)
         assert ok, f"per-topic matched fractions {fractions}"
         assert np.all(result.topic_vectors >= 0)
@@ -129,12 +124,12 @@ class TestDfcmPipeline:
         cfg = topics.PipelineConfig(
             "dfcm", p=2, c=1, fcm=FcmConfig(c=1, f=1.1), train=train, top_n=10, seed=3
         )
-        result = topics.dfcm_detect(dtm, vocab, cfg)
+        result = topics.detect(dtm, vocab, cfg)
         assert len(result.topic_set.topics) == 1
 
     def test_serialization_round_trip(self, tmp_path):
         sets, vocab, dtm, _ = planted_matrix(4)
-        result = topics.efcm_detect(dtm, vocab, _pipeline_cfg("efcm", 4))
+        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 4))
         path = tmp_path / "topics.json"
         topics.save_topic_set(result.topic_set, path)
         loaded = topics.load_topic_set(path)
@@ -146,8 +141,8 @@ class TestDfcmPipeline:
     def test_end_to_end_determinism(self):
         sets, vocab, dtm, _ = planted_matrix(5)
         cfg = _pipeline_cfg("dfcm", 5, epochs=3)
-        a = topics.dfcm_detect(dtm, vocab, cfg)
-        b = topics.dfcm_detect(dtm, vocab, cfg)
+        a = topics.detect(dtm, vocab, cfg)
+        b = topics.detect(dtm, vocab, cfg)
         assert [t.words for t in a.topic_set.topics] == [
             t.words for t in b.topic_set.topics
         ]
@@ -156,17 +151,33 @@ class TestDfcmPipeline:
         )
 
 
+class TestRepresent:
+    @pytest.mark.parametrize("method", ["efcm", "dfcm"])
+    def test_codes_do_not_depend_on_c(self, method):
+        _, vocab, dtm, _ = planted_matrix(7)
+        train = TrainConfig(epochs=2, batch_size=256) if method == "dfcm" else None
+        reps = [
+            topics.represent(dtm, topics.PipelineConfig(method, p=5, c=c, train=train, seed=7))
+            for c in (2, 3)
+        ]
+        assert reps[0].codes.tobytes() == reps[1].codes.tobytes()
+        centroids = np.random.default_rng(0).normal(size=(2, 5))
+        assert np.array_equal(reps[0].back_map(centroids), reps[1].back_map(centroids))
+        if method == "dfcm":
+            assert reps[0].train_trace == reps[1].train_trace
+
+
 class TestPermutationInvariance:
     def test_document_shuffle_preserves_topic_content(self):
         # EFCM's stages depend on the point multiset, not document order.
         sets, vocab, dtm, _ = planted_matrix(6)
-        result = topics.efcm_detect(dtm, vocab, _pipeline_cfg("efcm", 6))
+        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 6))
         rng = np.random.default_rng(0)
         perm = rng.permutation(dtm.n_docs)
         from dfcm_topics.textprep import DocTermMatrix
 
         shuffled = DocTermMatrix(dtm.matrix[perm])
-        result_p = topics.efcm_detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
+        result_p = topics.detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
         # Initialization samples points by index, so converged weights can
         # differ in the last digits; the recovered topic partition of the
         # planted vocabularies must not.
