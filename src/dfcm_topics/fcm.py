@@ -17,6 +17,7 @@ from .errors import (
 
 COINCIDENT_TOL = 1e-12
 KMEANS_MAX_ITER = 300
+EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -60,22 +61,71 @@ def _sq_distances(X: np.ndarray, Q: np.ndarray, xx=None, out=None) -> np.ndarray
 
 
 def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
-    """Lloyd's algorithm from given centers, in the (c, n) buffer d2; returns (centers, sse)."""
-    c = centers.shape[0]
+    """Lloyd's algorithm from given centers, in the (c, n) buffer d2; returns (centers, sse).
+
+    Labels are those of a full _sq_distances + argmin pass, but Hamerly's
+    bounds (SDM 2010), widened by r, the rounding bound of an expanded-form
+    squared distance, skip the points whose label cannot change. A product
+    over the remaining rows alone rounds its own way within r, so their labels
+    count only if every best-to-second gap exceeds 4r; if not, if over half
+    the points are left, or to reseed an empty cluster, the full pass runs.
+    """
+    n, c = X.shape[0], centers.shape[0]
+    slack = (2 * X.shape[1] + 16) * EPS
+    r, upper, lower = np.empty((3, n))
+    labels = np.empty(n, dtype=np.intp)
+    full = True  # the first pass sets the labels and bounds
     for _ in range(max_iter):
-        _sq_distances(X, centers, xx, out=d2)
-        labels = np.argmin(d2, axis=0)  # ties break to lowest index
-        counts = np.bincount(labels, minlength=c)
+        r[:] = (xx + np.sum(centers**2, axis=1).max()) * slack + TINY  # TINY: underflow
+        if not full:
+            np.multiply(upper + shift[labels], 1 + 4 * EPS, out=upper)
+            np.multiply(lower - shift.max(), 1 - 4 * EPS, out=lower)
+            # Triangle inequality: no other centre is nearer than its gap minus upper.
+            lo = np.maximum(np.maximum(near_centre[labels] - upper, lower), 0.0)
+            # lo**2 - upper**2 > 3r proves the full pass's label; NaN never does.
+            todo = np.flatnonzero(~((lo - upper) * (lo + upper) > 3 * r))
+            full = 2 * todo.size > n  # then the full pass costs less
+            if todo.size and not full:
+                sub = d2.reshape(-1)[: c * todo.size].reshape(c, todo.size)
+                _sq_distances(X[todo], centers, xx[todo], out=sub)
+                got = np.argmin(sub, axis=0)
+                best, second, upper[todo], lower[todo] = _bounds(sub, got, r[todo])
+                labels[todo] = got
+                full = not np.all(second - best > 4 * r[todo])
+        counts = None if full else np.bincount(labels, minlength=c)
+        if full or not counts.all():
+            _sq_distances(X, centers, xx, out=d2)
+            np.argmin(d2, axis=0, out=labels)  # ties break to lowest index
+            counts = np.bincount(labels, minlength=c)
+            nearest, _, upper[:], lower[:] = _bounds(d2, labels, r)
+            full = False
         # bincount sums each cluster's rows in index order, as mean() does.
         new_centers = np.stack([np.bincount(labels, weights=col, minlength=c) for col in X.T], 1)
         new_centers /= np.maximum(counts, 1)[:, None]
         if not counts.all():
             # Reseed empty clusters to the point farthest from its nearest centroid.
-            new_centers[counts == 0] = X[np.argmax(d2.min(axis=0))]
+            new_centers[counts == 0] = X[np.argmax(nearest)]
+        # slack also covers the rounding of the shifts and centre gaps.
+        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)) * (1 + slack)
+        gaps = np.sqrt(np.sum((new_centers[:, None] - new_centers[None]) ** 2, axis=2))
+        np.fill_diagonal(gaps, np.inf)
+        near_centre = gaps.min(axis=1) * (1 - slack)
         centers, previous = new_centers, centers
         if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
             break
     return centers, float(_sq_distances(X, centers, xx, out=d2).min(axis=0).sum())
+
+
+def _bounds(d2, labels, r):
+    """Columns' two smallest entries, and bounds on the true distance to the labelled
+    centre (upper) and any other (lower) if d2 is within r of the true squares."""
+    cols = np.arange(d2.shape[1])
+    best = d2[labels, cols]
+    d2[labels, cols] = np.inf
+    second = d2.min(axis=0)
+    upper = np.sqrt(best + r) * (1 + 4 * EPS)
+    lower = np.sqrt(np.maximum(second - r, 0.0)) * (1 - 4 * EPS)
+    return best, second, upper, lower
 
 
 def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,6 +152,8 @@ def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
 def kmeans_init(X: np.ndarray, c: int, runs: int = 10, seed: int = 0) -> np.ndarray:
     """Best of `runs` k-means++/Lloyd runs by within-cluster SSE."""
     X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInputError("data matrix contains NaN or Inf")
     if X.shape[0] < c:
         raise TooFewPointsError(f"{X.shape[0]} points < {c} clusters")
     rng = np.random.default_rng(seed)
@@ -124,18 +176,25 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
     """
     if f <= 1.0:
         raise InvalidFuzzifierError("fuzzification constant must be > 1")
-    return _memberships(_sq_distances(X, Q), f)
+    d = _sq_distances(X, Q)
+    return _memberships(d, f, np.empty_like(d), np.empty(d.shape, order="F"))
 
 
-def _memberships(d: np.ndarray, f: float) -> np.ndarray:
-    """update_memberships from the (c, n) squared distances d, made distances in place."""
+def _memberships(d: np.ndarray, f: float, M: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """update_memberships from the (c, n) squared distances d (made distances) into M.
+
+    work is F-ordered, so its column sums add in the order of d[:, regular].
+    """
     np.sqrt(d, out=d)
     expo = 2.0 / (f - 1.0)
     dmin = d.min(axis=0)
-    M = np.zeros_like(d)
     regular = dmin >= COINCIDENT_TOL
     # Normalize by the column minimum so ratios are >= 1 and the
     # negative power cannot overflow for small f.
+    if regular.all():
+        w = np.divide(d, dmin, out=work)
+        w **= -expo  # **, as below: numpy has fast paths for some exponents
+        return np.divide(w, w.sum(axis=0), out=M)
     w = (d[:, regular] / dmin[regular]) ** (-expo)
     M[:, regular] = w / w.sum(axis=0)
     hits = d[:, ~regular] < COINCIDENT_TOL
@@ -180,16 +239,20 @@ def fcm_fit(
         else kmeans_init(X, config.c, config.init_runs, config.seed)
     )
     trace: list[float] = []
-    M_prev = None
-    d2 = _sq_distances(X, Q)
+    xx = np.sum(X**2, axis=1)
+    # The (c, n) buffers of the fit: M and M_prev swap each iteration, and
+    # W = M^f is the memberships' F-ordered work array until M is written.
+    M, M_prev, W = (np.empty((len(Q), X.shape[0])) for _ in range(3))
+    work = W.reshape(-1).reshape(W.shape[::-1]).T
+    d2 = _sq_distances(X, Q, xx)
     for t in range(1, config.max_iter + 1):
-        M = _memberships(d2, config.f)
-        W = M**config.f  # for the centroids and the objective
+        M, M_prev = M_prev, M
+        _memberships(d2, config.f, M, work)
+        np.copyto(W, M)
+        W **= config.f  # M**f, for the centroids and the objective
         Q = _centroids(X, W)
-        d2 = _sq_distances(X, Q, out=d2)  # for the objective and the next memberships
+        _sq_distances(X, Q, xx, out=d2)  # for the objective and the next memberships
         trace.append(float(np.sum(np.multiply(W, d2, out=W))))
-        del W  # else it lives through the next memberships, one (c, n) array above their peak
-        if M_prev is not None and np.linalg.norm(M - M_prev) < config.eps:
+        if t > 1 and np.linalg.norm(np.subtract(M, M_prev, out=W)) < config.eps:
             return FcmResult(M, Q, trace, t, True)
-        M_prev = M
     return FcmResult(M, Q, trace, t, False)

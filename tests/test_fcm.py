@@ -85,6 +85,71 @@ def reference_kmeans_init(X, c, runs, seed):
     return best_centers
 
 
+def full_pass_lloyd(X, xx, centers, d2, max_iter=fcm.KMEANS_MAX_ITER):
+    """Lloyd's algorithm with a full distance pass and argmin every iteration,
+    in the (c, n) buffer d2; the oracle for the bound-pruned fcm._lloyd."""
+    c = centers.shape[0]
+    for _ in range(max_iter):
+        fcm._sq_distances(X, centers, xx, out=d2)
+        labels = np.argmin(d2, axis=0)  # ties break to lowest index
+        counts = np.bincount(labels, minlength=c)
+        # bincount sums each cluster's rows in index order, as mean() does.
+        new_centers = np.stack([np.bincount(labels, weights=col, minlength=c) for col in X.T], 1)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        if not counts.all():
+            # Reseed empty clusters to the point farthest from its nearest centroid.
+            new_centers[counts == 0] = X[np.argmax(d2.min(axis=0))]
+        centers, previous = new_centers, centers
+        if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
+            break
+    return centers, float(fcm._sq_distances(X, centers, xx, out=d2).min(axis=0).sum())
+
+
+def full_pass_kmeans_init(X, c, runs, seed):
+    """kmeans_init with full_pass_lloyd in place of the pruned Lloyd."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    xx = np.sum(X**2, axis=1)
+    d2 = np.empty((c, X.shape[0]))
+    best_centers, best_sse = None, np.inf
+    for _ in range(runs):
+        centers, sse = full_pass_lloyd(X, xx, fcm._kmeans_pp_seed(X, xx, c, rng), d2)
+        if sse < best_sse:
+            best_centers, best_sse = centers, sse
+    return best_centers
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Rows from a few distinct points (duplicates), on an integer grid (exact
+    ties) or not, scaled, and offset by 1e6 (a wide rounding bound)."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 50))
+    grid = draw(st.booleans())
+    elements = st.integers(-3, 3).map(float) if grid else st.floats(-10, 10, width=64)
+    base = draw(hnp.arrays(np.float64, (k, d), elements=elements))
+    X = np.repeat(base, draw(st.integers(1, 4)), axis=0)
+    X = X[np.random.default_rng(draw(st.integers(0, 99))).permutation(len(X))]
+    X = X * draw(st.sampled_from([1.0, 1e-3, 1e3])) + draw(st.sampled_from([0.0, 1e6]))
+    c = draw(st.integers(1, min(40, len(X))))
+    return X, c, draw(st.integers(0, 2**16))
+
+
+def _jittered(n, seed):
+    """fcm._sq_distances whose products over fewer than n rows move each entry
+    by up to (d + 2) eps (|x|^2 + max |q|^2), inside the expanded form's bound."""
+    real, rng = fcm._sq_distances, np.random.default_rng(seed)
+
+    def sq_distances(X, Q, xx=None, out=None):
+        d2 = real(X, Q, xx, out)
+        if X.shape[0] < n:
+            size = (X.shape[1] + 2) * fcm.EPS * (np.sum(X**2, axis=1) + np.sum(Q**2, axis=1).max())
+            d2 += rng.uniform(-1.0, 1.0, d2.shape) * size
+        return d2
+
+    return sq_distances
+
+
 def _reference_sets():
     rng = np.random.default_rng(7)
     return {
@@ -161,6 +226,71 @@ class TestKmeansInit:
         np.testing.assert_array_equal(Q, X[:2])
         assert np.array_equal(Q, reference_kmeans_init(X, 2, runs=2, seed=0))
 
+    @settings(deadline=None, max_examples=100)
+    @given(lloyd_cases(), st.booleans())
+    def test_pruned_lloyd_matches_full_passes(self, case, jitter):
+        # With jitter, every product over fewer than all rows rounds its own
+        # way, within the true rounding bound, as other BLAS kernels may.
+        X, c, seed = case
+        want = full_pass_kmeans_init(X, c, runs=2, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if jitter:
+                mp.setattr(fcm, "_sq_distances", _jittered(len(X), seed))
+            got = fcm.kmeans_init(X, c, runs=2, seed=seed)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_pruning_skips_points_and_falls_back(self, monkeypatch, offset):
+        # The bounds must skip points (else the property above is vacuous).
+        # At a 1e6 offset the rounding bound is wide enough that some
+        # recomputed label is not certain, and the full pass must follow.
+        X = np.random.default_rng(5).normal(size=(3000, 3)) + offset
+        c, widths = 12, []
+        real = fcm._sq_distances
+
+        def recording(A, Q, xx=None, out=None):
+            if Q.shape[0] == c:
+                widths.append(A.shape[0])
+            return real(A, Q, xx, out)
+
+        monkeypatch.setattr(fcm, "_sq_distances", recording)
+        got = fcm.kmeans_init(X, c, runs=2, seed=1)
+        monkeypatch.setattr(fcm, "_sq_distances", real)
+        assert np.array_equal(got, full_pass_kmeans_init(X, c, runs=2, seed=1))
+        assert 0 < min(widths) < len(X)
+        if offset:
+            # Beyond each restart's final SSE pass, full passes follow subset ones.
+            assert sum(a < len(X) == b for a, b in zip(widths, widths[1:])) > 2
+
+    def test_tie_recomputed_alone_takes_the_full_pass_label(self, monkeypatch):
+        # In the second iteration the point 0 lies midway between the centres
+        # -2 and 2, and the full pass gives it the lower index. A product over
+        # the recomputed rows that rounds against centre 0 must not decide it.
+        X = np.array([[-4.0], [-2.0], [0.0], [2.0]] + [[100.0 + k] for k in range(-10, 11)])
+        xx, centers = np.sum(X**2, axis=1), np.array([[-1.0], [3.0], [100.0]])
+        want = full_pass_lloyd(X, xx, centers, np.empty((3, len(X))))
+        real, widths = fcm._sq_distances, []
+
+        def against_centre_0(A, Q, xx=None, out=None):
+            d2 = real(A, Q, xx, out)
+            widths.append(A.shape[0])
+            if A.shape[0] < len(X):
+                d2[0] += 3 * fcm.EPS * (np.sum(A**2, axis=1) + np.sum(Q**2, axis=1).max())
+            return d2
+
+        monkeypatch.setattr(fcm, "_sq_distances", against_centre_0)
+        got = fcm._lloyd(X, xx, centers, np.empty((3, len(X))))
+        assert min(widths) < len(X)
+        np.testing.assert_array_equal(got[0], [[-2.0], [2.0], [100.0]])
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_nonfinite_input(self):
+        X = np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteInputError):
+            fcm.kmeans_init(X, 2)
+        with pytest.raises(NonFiniteInputError):
+            fcm.kmeans_init(np.array([[np.nan]]), 1)
+
     def test_empty_cluster_is_reseeded_to_farthest_point(self):
         # Three distinct points, two coincident starting centres: the
         # second centre wins no point (ties go to the lowest index) and is
@@ -221,6 +351,55 @@ class TestUpdateMemberships:
         M = fcm.update_memberships(X, Q, f)
         np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(M >= 0) and np.all(M <= 1 + 1e-12)
+
+
+def reference_memberships(d, f):
+    """The membership update through masked copies, d[:, regular] (F-ordered)."""
+    d = np.sqrt(d)
+    dmin = d.min(axis=0)
+    M = np.zeros_like(d)
+    regular = dmin >= fcm.COINCIDENT_TOL
+    w = (d[:, regular] / dmin[regular]) ** (-2.0 / (f - 1.0))
+    M[:, regular] = w / w.sum(axis=0)
+    hits = d[:, ~regular] < fcm.COINCIDENT_TOL
+    M[:, ~regular] = hits / hits.sum(axis=0)
+    return M
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 10, 40])
+@pytest.mark.parametrize("f", [1.01, 1.1, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("coincident", [False, True])
+def test_memberships_match_masked_reference_bit_for_bit(c, f, coincident):
+    # Column sums over the F-ordered work buffer must add in the masked
+    # copy's order; a C-ordered buffer moves memberships by ~1e-16.
+    rng = np.random.default_rng(c)
+    X = rng.normal(size=(500, 6))
+    Q = X[:c].copy() if coincident else rng.normal(size=(c, 6))
+    want = reference_memberships(fcm._sq_distances(X, Q), f)
+    np.testing.assert_array_equal(fcm.update_memberships(X, Q, f), want)
+
+
+def test_fcm_fit_allocates_its_buffers_once():
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(2000, 10))
+    init = rng.normal(size=(40, 10))  # no point on a centroid: the masked path copies
+    peaks = []
+    for max_iter in (5, 30):
+        cfg = fcm.FcmConfig(c=40, f=1.1, max_iter=max_iter, eps=1e-300)
+        tracemalloc.start()
+        try:
+            res = fcm.fcm_fit(X, cfg, init=init)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == max_iter
+    cn_bytes = 40 * 2000 * 8
+    # The trace list grows by one float per iteration; nothing else may.
+    assert abs(peaks[1] - peaks[0]) < 4096, peaks
+    # d2, M, M_prev and W, plus n-length vectors; the old loop peaked above 5.
+    assert peaks[1] < 4.5 * cn_bytes, peaks[1] / cn_bytes
 
 
 class TestUpdateCentroids:

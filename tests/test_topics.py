@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dfcm_topics import fcm, topics
 from dfcm_topics.autoencoder import TrainConfig
-from dfcm_topics.errors import DimensionMismatchError
+from dfcm_topics.errors import DimensionMismatchError, NonFiniteInputError
 from dfcm_topics.fcm import FcmConfig
 from dfcm_topics.textprep import Vocabulary
 
@@ -108,6 +108,16 @@ class TestEfcmPipeline:
         )
         delta = np.linalg.norm(rerun.memberships - result.fcm_result.memberships)
         assert delta < cfg.fcm.eps
+
+
+def test_cluster_topics_rejects_nonfinite_codes():
+    # A diverged representation must fail as a numerical error (exit 3),
+    # not in k-means++'s sampling as a ValueError.
+    codes = np.random.default_rng(0).normal(size=(20, 2))
+    codes[7, 1] = np.nan
+    rep = topics.Representation(codes, lambda C: C)
+    with pytest.raises(NonFiniteInputError):
+        topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
 
 
 class TestDfcmPipeline:
