@@ -67,16 +67,17 @@ def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
     bounds (SDM 2010), widened by r, the rounding bound of an expanded-form
     squared distance, skip the points whose label cannot change. A product
     over the remaining rows alone rounds its own way within r, so their labels
-    count only if every best-to-second gap exceeds 4r; if not, if over half
-    the points are left, or to reseed an empty cluster, the full pass runs.
+    count only if every best-to-second gap exceeds 4r. If not, full passes run
+    for the rest of the restart; one also runs to reseed an empty cluster.
     """
     n, c = X.shape[0], centers.shape[0]
     slack = (2 * X.shape[1] + 16) * EPS
     r, upper, lower = np.empty((3, n))
     labels = np.empty(n, dtype=np.intp)
-    full = True  # the first pass sets the labels and bounds
+    full = prune = True  # the first pass sets the labels and bounds
     for _ in range(max_iter):
-        r[:] = (xx + np.sum(centers**2, axis=1).max()) * slack + TINY  # TINY: underflow
+        if prune:
+            r[:] = (xx + np.sum(centers**2, axis=1).max()) * slack + TINY  # TINY: underflow
         if not full:
             np.multiply(upper + shift[labels], 1 + 4 * EPS, out=upper)
             np.multiply(lower - shift.max(), 1 - 4 * EPS, out=lower)
@@ -84,32 +85,34 @@ def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
             lo = np.maximum(np.maximum(near_centre[labels] - upper, lower), 0.0)
             # lo**2 - upper**2 > 3r proves the full pass's label; NaN never does.
             todo = np.flatnonzero(~((lo - upper) * (lo + upper) > 3 * r))
-            full = 2 * todo.size > n  # then the full pass costs less
-            if todo.size and not full:
+            if todo.size:
                 sub = d2.reshape(-1)[: c * todo.size].reshape(c, todo.size)
                 _sq_distances(X[todo], centers, xx[todo], out=sub)
                 got = np.argmin(sub, axis=0)
                 best, second, upper[todo], lower[todo] = _bounds(sub, got, r[todo])
                 labels[todo] = got
-                full = not np.all(second - best > 4 * r[todo])
+                # An uncertain label ends the pruning for the rest of this restart.
+                prune = bool(np.all(second - best > 4 * r[todo]))
+                full = not prune
         counts = None if full else np.bincount(labels, minlength=c)
         if full or not counts.all():
             _sq_distances(X, centers, xx, out=d2)
             np.argmin(d2, axis=0, out=labels)  # ties break to lowest index
             counts = np.bincount(labels, minlength=c)
-            nearest, _, upper[:], lower[:] = _bounds(d2, labels, r)
-            full = False
+            if prune:
+                nearest, _, upper[:], lower[:] = _bounds(d2, labels, r)
+            full = not prune
         # bincount sums each cluster's rows in index order, as mean() does.
         new_centers = np.stack([np.bincount(labels, weights=col, minlength=c) for col in X.T], 1)
         new_centers /= np.maximum(counts, 1)[:, None]
         if not counts.all():
             # Reseed empty clusters to the point farthest from its nearest centroid.
-            new_centers[counts == 0] = X[np.argmax(nearest)]
-        # slack also covers the rounding of the shifts and centre gaps.
-        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)) * (1 + slack)
-        gaps = np.sqrt(np.sum((new_centers[:, None] - new_centers[None]) ** 2, axis=2))
-        np.fill_diagonal(gaps, np.inf)
-        near_centre = gaps.min(axis=1) * (1 - slack)
+            new_centers[counts == 0] = X[np.argmax(nearest if prune else d2.min(axis=0))]
+        if prune:  # slack also covers the rounding of the shifts and centre gaps.
+            shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)) * (1 + slack)
+            gaps = np.sqrt(np.sum((new_centers[:, None] - new_centers[None]) ** 2, axis=2))
+            np.fill_diagonal(gaps, np.inf)
+            near_centre = gaps.min(axis=1) * (1 - slack)
         centers, previous = new_centers, centers
         if np.allclose(centers, previous, rtol=0.0, atol=1e-12):
             break
@@ -183,22 +186,21 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
 def _memberships(d: np.ndarray, f: float, M: np.ndarray, work: np.ndarray) -> np.ndarray:
     """update_memberships from the (c, n) squared distances d (made distances) into M.
 
-    work is F-ordered, so its column sums add in the order of d[:, regular].
+    work is F-ordered, so each column sums only its own contiguous entries, and
+    the coincident columns, overwritten at the end, leave the others' bits alone.
     """
     np.sqrt(d, out=d)
-    expo = 2.0 / (f - 1.0)
     dmin = d.min(axis=0)
-    regular = dmin >= COINCIDENT_TOL
-    # Normalize by the column minimum so ratios are >= 1 and the
-    # negative power cannot overflow for small f.
-    if regular.all():
+    # Normalize by the column minimum so ratios are >= 1 and the negative
+    # power cannot overflow for small f. A column with a coincident centroid
+    # divides by 0 or nearly so; it is overwritten below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.divide(d, dmin, out=work)
-        w **= -expo  # **, as below: numpy has fast paths for some exponents
-        return np.divide(w, w.sum(axis=0), out=M)
-    w = (d[:, regular] / dmin[regular]) ** (-expo)
-    M[:, regular] = w / w.sum(axis=0)
-    hits = d[:, ~regular] < COINCIDENT_TOL
-    M[:, ~regular] = hits / hits.sum(axis=0)
+        w **= -2.0 / (f - 1.0)  # **, whose scalar fast paths give the reference's bits
+        np.divide(w, w.sum(axis=0), out=M)
+    coincident = dmin < COINCIDENT_TOL
+    hits = d[:, coincident] < COINCIDENT_TOL
+    M[:, coincident] = hits / hits.sum(axis=0)
     return M
 
 

@@ -243,24 +243,33 @@ class TestKmeansInit:
     def test_pruning_skips_points_and_falls_back(self, monkeypatch, offset):
         # The bounds must skip points (else the property above is vacuous).
         # At a 1e6 offset the rounding bound is wide enough that some
-        # recomputed label is not certain, and the full pass must follow.
+        # recomputed label is not certain: the full pass must follow, and
+        # full passes alone for the rest of that restart.
         X = np.random.default_rng(5).normal(size=(3000, 3)) + offset
-        c, widths = 12, []
-        real = fcm._sq_distances
+        c, restarts = 12, []
+        real_sq, real_lloyd = fcm._sq_distances, fcm._lloyd
 
         def recording(A, Q, xx=None, out=None):
             if Q.shape[0] == c:
-                widths.append(A.shape[0])
-            return real(A, Q, xx, out)
+                restarts[-1].append(A.shape[0])
+            return real_sq(A, Q, xx, out)
+
+        def lloyd(*args):
+            restarts.append([])
+            return real_lloyd(*args)
 
         monkeypatch.setattr(fcm, "_sq_distances", recording)
+        monkeypatch.setattr(fcm, "_lloyd", lloyd)
         got = fcm.kmeans_init(X, c, runs=2, seed=1)
-        monkeypatch.setattr(fcm, "_sq_distances", real)
+        monkeypatch.undo()
         assert np.array_equal(got, full_pass_kmeans_init(X, c, runs=2, seed=1))
-        assert 0 < min(widths) < len(X)
-        if offset:
-            # Beyond each restart's final SSE pass, full passes follow subset ones.
-            assert sum(a < len(X) == b for a, b in zip(widths, widths[1:])) > 2
+        for widths in restarts:
+            subset = [i for i, w in enumerate(widths) if w < len(X)]
+            assert subset
+            if offset:
+                # Subset passes up to the uncertain one, then full passes only.
+                assert subset == list(range(1, len(subset) + 1))
+                assert len(widths) - subset[-1] > 3
 
     def test_tie_recomputed_alone_takes_the_full_pass_label(self, monkeypatch):
         # In the second iteration the point 0 lies midway between the centres
@@ -384,7 +393,7 @@ def test_fcm_fit_allocates_its_buffers_once():
 
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2000, 10))
-    init = rng.normal(size=(40, 10))  # no point on a centroid: the masked path copies
+    init = rng.normal(size=(40, 10))  # no point on a centroid, whose columns the fix-up copies
     peaks = []
     for max_iter in (5, 30):
         cfg = fcm.FcmConfig(c=40, f=1.1, max_iter=max_iter, eps=1e-300)
