@@ -99,10 +99,10 @@ def build_autoencoder(
     dec_dims = list(reversed(enc_dims))
     rng = np.random.default_rng(seed)
 
-    def make(dims, final_act):
+    def make(dims):
         layers = []
         for i in range(len(dims) - 1):
-            act = final_act if i == len(dims) - 2 else "relu"
+            act = "linear" if i == len(dims) - 2 else "relu"
             layers.append(
                 DenseLayer(
                     _glorot_uniform(dims[i + 1], dims[i], rng),
@@ -112,7 +112,7 @@ def build_autoencoder(
             )
         return layers
 
-    return AutoencoderModel(make(enc_dims, "linear"), make(dec_dims, "linear"), code_dim)
+    return AutoencoderModel(make(enc_dims), make(dec_dims), code_dim)
 
 
 def _forward(layers, X, drop_masks=None):

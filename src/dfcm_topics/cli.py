@@ -79,6 +79,9 @@ def load_run_config(path) -> dict:
         if unknown:
             hint = " (the seed is set only by --seed)" if "seed" in unknown else ""
             raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}{hint}")
+    for key, value in sections["paths"].items():
+        if not (isinstance(value, str) and value):
+            raise ConfigError(f"config.paths.{key} must be a non-empty string, got {value!r}")
     cfg = {"paths": dict(sections["paths"]), "compare": dict(sections["compare"])}
     for key, (section, f) in _FIELDS.items():
         value = sections[section].get(key, f.default)
@@ -127,16 +130,17 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def _require_path(cfg, key):
-    path = cfg["paths"].get(key)
-    if not path:
-        raise ConfigError(f"config.paths.{key} is required")
-    return path
+def _require_paths(cfg, *keys) -> list:
+    """The config paths of keys, resolved before any input is read."""
+    for key in keys:
+        if not cfg["paths"].get(key):
+            raise ConfigError(f"config.paths.{key} is required")
+    return [cfg["paths"][key] for key in keys]
 
 
-def _load_artifacts(cfg):
-    vocab = textprep.load_vocabulary(_require_path(cfg, "vocabulary"))
-    dtm = textprep.load_matrix(_require_path(cfg, "matrix"))
+def _load_artifacts(vocabulary, matrix):
+    vocab = textprep.load_vocabulary(vocabulary)
+    dtm = textprep.load_matrix(matrix)
     if dtm.n_terms != len(vocab):
         raise ConfigError(
             f"matrix has {dtm.n_terms} columns but vocabulary has {len(vocab)} terms"
@@ -182,8 +186,9 @@ def _save_detection(result: topics.DetectionResult, pipe_cfg, out: Path) -> None
 def cmd_detect(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     pipe_cfg = _pipeline_config(cfg, args.seed)
-    vocab, dtm = _load_artifacts(cfg)
-    out = Path(_require_path(cfg, "out_dir"))
+    vocabulary, matrix, out_dir = _require_paths(cfg, "vocabulary", "matrix", "out_dir")
+    vocab, dtm = _load_artifacts(vocabulary, matrix)
+    out = Path(out_dir)
     result = topics.detect(dtm, vocab, pipe_cfg)
     _save_detection(result, pipe_cfg, out)
     for warning in result.topic_set.warnings:
@@ -209,9 +214,11 @@ def cmd_compare(args) -> int:
     methods = comp.get("methods", list(topics.METHODS))
     cluster_list = comp.get("clusters", [cfg["clusters"]])
     epoch_list = comp.get("epochs", [cfg["epochs"]])
-    vocab, dtm = _load_artifacts(cfg)
-    store = coherence.load_word_vectors(_require_path(cfg, "embeddings"))
-    out = Path(_require_path(cfg, "out_dir"))
+    vocabulary, matrix, embeddings, out_dir = _require_paths(
+        cfg, "vocabulary", "matrix", "embeddings", "out_dir")
+    vocab, dtm = _load_artifacts(vocabulary, matrix)
+    store = coherence.load_word_vectors(embeddings)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedLineError, TooFewKnownWordsError, ZeroVectorError
-from .textprep import open_text, save_json
+from .textprep import loadtxt_chunk, open_text, save_json
 
 log = logging.getLogger(__name__)
 VECTOR_CHUNK = 64  # lines per np.loadtxt call; 1,024 raised efcm-sweep peak RSS ~5 MB
@@ -65,15 +65,9 @@ def _take_block(lines, dim, vectors) -> bool:
     """Parse a chunk with numpy's C reader; False if a line is off or a term
     repeats, for _take_lines to keep the first or name the line."""
     terms = [line.split(maxsplit=1)[0] for line in lines if not line.isspace()]
-    if not terms:  # loadtxt warns on a chunk with no data
-        return True
-    try:  # encoding=None: numpy < 2 hands converters latin-1 bytes, failing on other scripts
-        block = np.loadtxt(lines, np.float64, comments=None, converters={0: lambda _: 0.0},
-                           ndmin=2, encoding=None)
-    except ValueError:  # loadtxt rejects some values float() takes, e.g. 1_0
-        return False
+    block = loadtxt_chunk(lines, np.float64, converters={0: lambda _: 0.0}, ndmin=2)
     unique = len(set(terms)) == len(terms) and vectors.keys().isdisjoint(terms)
-    if block.shape != (len(terms), dim + 1) or not unique:
+    if block is None or block.shape != (len(terms), dim + 1) or not unique:
         return False
     vectors.update(zip(terms, block[:, 1:]))
     return True

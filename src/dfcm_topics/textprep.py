@@ -21,11 +21,24 @@ from .errors import EmptyVocabularyError, MalformedLineError
 
 # Any unicode letter repeated 3+ times; digits and punctuation are left alone.
 _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
-_DROP_PREFIXES = ("www.", "http://", "https://", "@")  # URLs and @user mentions
+# A token (after any '#') that starts like a URL or an @user mention, to drop.
+_DROP_RE = re.compile(r"(?<!\S)#*(?:www\.|https?://|@)\S*")
+_HASHES_RE = re.compile(r"(?<!\S)#+")  # a token's leading '#'s
 _STRIP_CHARS = string.punctuation + "‘’“”…"
 ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
 WRITE_CHUNK = 16384  # matrix lines formatted per write
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
+
+
+def _clean(raw: str) -> str:
+    """Lowered raw text without URL-like and @user tokens, letter runs collapsed.
+
+    Hashtags keep their '#'. Dropping before the collapse catches "wwww.x",
+    after it "htttp://x", so cleaning is a fixed point. Neither the drop nor
+    the collapse touches whitespace, so the tokens stay where they were.
+    """
+    text = _DROP_RE.sub("", raw.lower())
+    return _DROP_RE.sub("", _REPEAT_RE.sub(r"\1\1", text))
 
 
 def clean_text(raw: str) -> str:
@@ -35,19 +48,7 @@ def clean_text(raw: str) -> str:
     and collapses runs of 3+ identical letters down to 2. The result is
     a single-space-joined token string; cleaning is idempotent.
     """
-    lowered = raw.lower()
-    # A collapse never touches whitespace or '#', so both splits pair up token by token.
-    collapsed = _REPEAT_RE.sub(r"\1\1", lowered)
-    out = []
-    for before, token in zip(lowered.split(), collapsed.split()):
-        token = token.lstrip("#")
-        # Check before ("www.x") and after ("htttp://x") the collapse, so
-        # cleaning is a fixed point.
-        if before.lstrip("#").startswith(_DROP_PREFIXES) or token.startswith(_DROP_PREFIXES):
-            continue
-        if token:
-            out.append(token)
-    return " ".join(out)
+    return " ".join(_HASHES_RE.sub("", _clean(raw)).split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -55,12 +56,7 @@ def tokenize(text: str) -> list[str]:
 
     Interior apostrophes and hyphens are kept ("don't", "e-mail").
     """
-    tokens = []
-    for tok in text.split():
-        tok = tok.strip(_STRIP_CHARS)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [tok for word in text.split() if (tok := word.strip(_STRIP_CHARS))]
 
 
 @dataclass
@@ -156,15 +152,10 @@ def load_stopwords(path) -> set[str]:
     The shipped defaults are addressable by language code: "en" or "id".
     """
     if path in ("en", "id"):
-        return default_stopwords(path)
+        data = resources.files("dfcm_topics.data").joinpath(f"stopwords_{path}.txt")
+        return {line.strip() for line in data.read_text("utf-8").splitlines() if line.strip()}
     with open_text(path) as fh:
         return {line.strip() for line in fh if line.strip()}
-
-
-def default_stopwords(lang: str) -> set[str]:
-    """Packaged default stopword list ("en" or "id")."""
-    data = resources.files("dfcm_topics.data").joinpath(f"stopwords_{lang}.txt")
-    return {line.strip() for line in data.read_text("utf-8").splitlines() if line.strip()}
 
 
 def read_corpus_jsonl(path) -> list[dict]:
@@ -249,24 +240,31 @@ def save_matrix(dtm: DocTermMatrix, path) -> None:
             fh.write("".join(map("%d %d %.17g\n".__mod__, entries)))
 
 
-def _fill_entries(fh, rows, cols, vals) -> bool:
-    """Parse the entry lines by chunks with numpy's C reader; False if a line
-    is off (too few rows means a blank line or the end of the file)."""
+def loadtxt_chunk(lines, dtype, **kwargs):
+    """np.loadtxt over a chunk of lines, or None if numpy's C reader rejects
+    one; the caller's line-by-line parse then names the line or takes it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines has no data
         # numpy < 2 parses an index like 2.0 via float, with only this warning.
         warnings.simplefilter("error", DeprecationWarning)
-        for start in range(0, len(rows), ENTRY_CHUNK):
-            k = min(ENTRY_CHUNK, len(rows) - start)
-            try:
-                block = np.loadtxt(list(itertools.islice(fh, k)), _ENTRY, comments=None, ndmin=1)
-            except (ValueError, DeprecationWarning):
-                return False
-            if len(block) < k:
-                return False
-            at = slice(start, start + k)
-            rows[at], cols[at], vals[at] = block["row"], block["col"], block["weight"]
-    return True
+        try:  # encoding=None: numpy < 2 hands converters latin-1 bytes, failing on other scripts
+            return np.loadtxt(lines, dtype, comments=None, encoding=None, **kwargs)
+        except (ValueError, DeprecationWarning):  # also values int() takes, e.g. 1_0
+            return None
+
+
+def _parse_entries(path, lines, first) -> np.ndarray:
+    """Parse entry lines one by one from line number first, naming a bad line."""
+    block = np.empty(len(lines), _ENTRY)
+    for i, line in enumerate(lines):
+        lineno, parts = first + i, line.split()
+        if len(parts) != 3:
+            raise MalformedLineError(f"{path}: line {lineno}: expected 'row col weight'", lineno)
+        try:
+            block[i] = int(parts[0]), int(parts[1]), float(parts[2])
+        except (ValueError, OverflowError) as exc:  # overflow: an index past int64
+            raise MalformedLineError(f"{path}: line {lineno}: {exc}", lineno) from exc
+    return block
 
 
 def load_matrix(path) -> DocTermMatrix:
@@ -274,27 +272,20 @@ def load_matrix(path) -> DocTermMatrix:
         header = fh.readline().split()
         if len(header) != 3:
             raise MalformedLineError(f"{path}: header must be 'n_docs n_terms nnz'", 1)
-        i = -1  # entry i is on line i + 2, so the header is line 1
         try:
             n_docs, n_terms, nnz = (int(x) for x in header)
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz, dtype=np.float64)
-            if not _fill_entries(fh, rows, cols, vals):  # parse again to name the line
-                fh.seek(0)
-                fh.readline()
-                for i in range(nnz):
-                    parts = fh.readline().split()
-                    if len(parts) != 3:
-                        raise MalformedLineError(
-                            f"{path}: line {i + 2}: expected 'row col weight'", i + 2
-                        )
-                    rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
-        except UnicodeDecodeError:
-            raise  # open_text names the file; no line is known
-        except (ValueError, OverflowError) as exc:  # overflow: an index past int64
-            raise MalformedLineError(f"{path}: line {i + 2}: {exc}", i + 2) from exc
+            entries = np.empty(nnz, _ENTRY)
+        except (ValueError, OverflowError) as exc:
+            raise MalformedLineError(f"{path}: line 1: {exc}", 1) from exc
+        for start in range(0, nnz, ENTRY_CHUNK):  # entry i is on line i + 2
+            k = min(ENTRY_CHUNK, nnz - start)
+            lines = list(itertools.islice(fh, k))
+            block = loadtxt_chunk(lines, _ENTRY, ndmin=1)
+            if block is None or len(block) < k:  # short: a blank line or the file's end
+                block = _parse_entries(path, lines + [""] * (k - len(lines)), start + 2)
+            entries[start : start + k] = block
         rest = fh.read()
+    rows, cols, vals = entries["row"], entries["col"], entries["weight"]
     if rest.strip():
         line = nnz + 2 + rest[: len(rest) - len(rest.lstrip())].count("\n")
         raise MalformedLineError(
@@ -322,6 +313,6 @@ def load_matrix(path) -> DocTermMatrix:
 
 def prepare_corpus(docs: list[dict], stopwords: set[str]):
     """Clean, tokenize, build vocabulary and vectorize in one pass."""
-    token_lists = [tokenize(clean_text(d["text"])) for d in docs]
+    token_lists = [tokenize(_clean(d["text"])) for d in docs]  # '#' is in _STRIP_CHARS
     vocab = build_vocabulary(token_lists, stopwords)
     return vocab, vectorize_tfidf(token_lists, vocab)

@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import dfcm_topics
 from dfcm_topics import autoencoder as ae
-from dfcm_topics import textprep, topics
+from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.autoencoder import TrainConfig
 from dfcm_topics.cli import main
 from dfcm_topics.errors import ConfigError
@@ -391,6 +392,40 @@ def test_compare_section_checked_before_inputs_are_read(tmp_path, compare):
     }))
     assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
     assert not (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+@pytest.mark.parametrize("key", ["vocabulary", "out_dir"])
+@pytest.mark.parametrize("value", [1, True, [], {}, ""],
+                         ids=["int", "true", "list", "object", "empty"])
+def test_paths_must_be_non_empty_strings(artifacts, tmp_path, caplog, command, key, value):
+    # 1 as a path would open, then close, the process's stdout.
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, paths={key: value})
+    assert main([command, "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert f"config.paths.{key} must be a non-empty string" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("detect", "vocabulary"),
+    ("detect", "out_dir"),
+    ("compare", "out_dir"),
+    ("compare", "embeddings"),
+])
+def test_required_paths_resolved_before_inputs_are_read(tmp_path, monkeypatch, caplog,
+                                                        command, missing):
+    loaders = [(textprep, "load_vocabulary"), (textprep, "load_matrix"),
+               (coherence, "load_word_vectors")]
+    for module, name in loaders:
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+    paths = {key: str(tmp_path / key) for key in ("vocabulary", "matrix", "embeddings", "out_dir")}
+    del paths[missing]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "efcm", "paths": paths}))
+    assert main([command, "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert f"config.paths.{missing} is required" in caplog.text
+    assert not any(getattr(module, name).called for module, name in loaders)
 
 
 @pytest.mark.parametrize("method", ["dfcm", "efcm"])

@@ -51,16 +51,23 @@ class TestCleanText:
         assert textprep.clean_text(tok) == collapse_oracle(tok)
 
     # Letter runs, hashtags, mentions, URL prefixes (one exposed only by the
-    # collapse), digits, '_', letters whose case mapping changes length, and
-    # whitespace that str.split() breaks on but a plain space test would miss.
+    # collapse), digits, '_', letters whose case mapping changes length,
+    # whitespace that str.split() breaks on but a plain space test would miss,
+    # and punctuation that tokenize strips or keeps.
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([
         "a", "aaa", "B", "BBBB", "ß", "ßßß", "İ", "İİİ", "#", "@", "www.", "wwww.",
         "http://", "https://", "htttp://", "htttps://", "hhttp://", "1", "111", "_", "___",
-        ".", "x", " ", "\xa0", "\u3000", "\x1c", "\n",
+        ".", "x", " ", "\xa0", "\u3000", "\x1c", "\n", "!", "'", "-", "’", "…",
     ]), max_size=16).map("".join))
     def test_matches_per_token_reference(self, raw):
         assert textprep.clean_text(raw) == reference_clean_text(raw)
+        # prepare_corpus hands build_vocabulary the token lists it cleaned.
+        with mock.patch.object(textprep, "build_vocabulary",
+                               side_effect=EmptyVocabularyError("stop")) as build:
+            with pytest.raises(EmptyVocabularyError):
+                textprep.prepare_corpus([{"id": "0", "text": raw}], set())
+        assert build.call_args.args[0] == [textprep.tokenize(reference_clean_text(raw))]
 
 
 def reference_clean_text(raw):
@@ -346,7 +353,7 @@ class TestSerialization:
             except MalformedLineError as exc:
                 return str(exc), exc.line_number
 
-        with mock.patch.object(textprep, "_fill_entries", return_value=False):
+        with mock.patch.object(textprep, "loadtxt_chunk", return_value=None):
             expected = outcome()  # the line loop alone
         for chunk in (1, 2, 1 << 12):
             with mock.patch.object(textprep, "ENTRY_CHUNK", chunk):
@@ -374,13 +381,26 @@ class TestSerialization:
 
     def test_regular_entries_skip_the_line_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "entries.txt"
-        path.write_text("0 0 0.5\n1 2 3\n2 1 1e-3\n")
+        path.write_text("3 3 3\n0 0 0.5\n1 2 3\n2 1 1e-3\n")
         monkeypatch.setattr(textprep, "ENTRY_CHUNK", 2)
-        rows, cols, vals = np.empty(3, np.int64), np.empty(3, np.int64), np.empty(3)
-        with open(path) as fh:
-            assert textprep._fill_entries(fh, rows, cols, vals)
-        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 2, 1]
-        assert vals.tolist() == [0.5, 3.0, 1e-3]
+        monkeypatch.setattr(textprep, "_parse_entries", mock.Mock(side_effect=AssertionError))
+        coo = textprep.load_matrix(path).matrix.tocoo()
+        assert coo.row.tolist() == [0, 1, 2] and coo.col.tolist() == [0, 2, 1]
+        assert coo.data.tolist() == [0.5, 3.0, 1e-3]
+
+    def test_bad_line_in_last_chunk_reparses_only_that_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "matrix.txt"
+        path.write_text("6 6 5\n0 0 1\n1 1 1\n2 2 1\n3 3 1\n4 4 x\n")
+        monkeypatch.setattr(textprep, "ENTRY_CHUNK", 2)
+        chunk_reader = mock.Mock(wraps=textprep.loadtxt_chunk)
+        line_parser = mock.Mock(wraps=textprep._parse_entries)
+        monkeypatch.setattr(textprep, "loadtxt_chunk", chunk_reader)
+        monkeypatch.setattr(textprep, "_parse_entries", line_parser)
+        with pytest.raises(MalformedLineError, match="line 6: could not convert") as err:
+            textprep.load_matrix(path)
+        assert err.value.line_number == 6
+        assert chunk_reader.call_count == 3  # chunks of 2, 2 and 1 entries
+        line_parser.assert_called_once_with(path, ["4 4 x\n"], 6)
 
     def test_vocabulary_round_trip(self, tmp_path):
         docs = [["b", "a"] for _ in range(10)]
