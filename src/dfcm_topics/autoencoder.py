@@ -44,11 +44,14 @@ class DenseLayer:
 class AutoencoderModel:
     encoder_layers: list[DenseLayer]
     decoder_layers: list[DenseLayer]
-    code_dim: int
 
     @property
     def input_dim(self) -> int:
         return self.encoder_layers[0].in_dim
+
+    @property
+    def code_dim(self) -> int:
+        return self.encoder_layers[-1].out_dim
 
     @property
     def layers(self) -> list[DenseLayer]:
@@ -112,19 +115,19 @@ def build_autoencoder(
             )
         return layers
 
-    return AutoencoderModel(make(enc_dims), make(dec_dims), code_dim)
+    return AutoencoderModel(make(enc_dims), make(dec_dims))
 
 
 def _forward(layers, X, drop_masks=None):
     """Forward pass; returns output and per-layer (input, activation) caches.
 
-    drop_masks[i], when given, is an inverted-dropout mask applied to
-    layer i's input. Relu runs in place, so each layer keeps one array.
+    drop_masks, when given, holds each layer's inverted-dropout mask, applied
+    to its input. Relu runs in place, so each layer keeps one array.
     """
     caches = []
     A = X
     for i, layer in enumerate(layers):
-        if drop_masks is not None and drop_masks[i] is not None:
+        if drop_masks is not None:
             A = A * drop_masks[i]
         Z = A @ layer.weights.T
         Z += layer.bias
@@ -136,11 +139,17 @@ def _forward(layers, X, drop_masks=None):
 
 
 def _infer(layers, X):
-    """Dropout-free _forward over the rows of X (dense or sparse), INFER_BATCH at a time."""
+    """Dropout-free _forward over the rows of X (dense or sparse), INFER_BATCH rows and
+    one layer at a time, so only the current layer's input and output are alive."""
+    if X.shape[1] != layers[0].in_dim:
+        raise DimensionMismatchError(f"expected {layers[0].in_dim} columns, got {X.shape[1]}")
     out = np.empty((X.shape[0], layers[-1].out_dim))
     for start in range(0, X.shape[0], INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
-        out[rows], _ = _forward(layers, _densify(X[rows]))
+        A = _densify(X[rows])
+        for layer in layers:
+            A = _forward([layer], A)[0]
+        out[rows] = A
     return out
 
 
@@ -157,7 +166,7 @@ def _backward(layers, caches, dOut, grads, drop_masks=None):
         if i == 0:  # nothing reads the gradient with respect to the input
             break
         dA = dA @ layers[i].weights
-        if drop_masks is not None and drop_masks[i] is not None:
+        if drop_masks is not None:
             dA *= drop_masks[i]
 
 
@@ -242,22 +251,22 @@ def _densify(X):
 
 
 def _dropout_mask(shape, rate, rng):
-    if rate <= 0.0:
-        return None
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
 
 def _pair_masks(x, pair, rate, rng):
-    """Dropout masks of a denoising pair: for its input x, then its hidden units."""
+    """Dropout masks of a denoising pair (its input x, then its hidden units); None at rate 0."""
+    if rate <= 0.0:
+        return None
     hidden = (x.shape[0], pair[0].out_dim)
     return [_dropout_mask(x.shape, rate, rng), _dropout_mask(hidden, rate, rng)]
 
 
-def _train(layers, X, cfg, rng, dropout):
+def _train(layers, X, cfg, rng, rate):
     """Minibatch training loop shared by pretraining and fine-tuning.
 
-    With dropout, layers is a denoising pair and every batch is corrupted
+    Above rate 0, layers is a denoising pair and every batch is corrupted
     by _pair_masks. Returns the per-epoch mean minibatch loss trace.
     """
     n = X.shape[0]
@@ -268,7 +277,7 @@ def _train(layers, X, cfg, rng, dropout):
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = _densify(X[order[start : start + cfg.batch_size]])
-            masks = _pair_masks(batch, layers, cfg.dropout_rate, rng) if dropout else None
+            masks = _pair_masks(batch, layers, rate, rng)
             Y, caches = _forward(layers, batch, masks)
             loss, dOut = _mse_and_grad(Y, batch)
             if not np.isfinite(loss):
@@ -286,7 +295,7 @@ def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rn
     Trains the given layers in place and returns them with the next clean
     representation H_next = g(W1 H_prev + b1), computed without dropout.
     """
-    _train([enc_layer, dec_layer], H_prev, cfg, rng, dropout=True)
+    _train([enc_layer, dec_layer], H_prev, cfg, rng, cfg.dropout_rate)
     return enc_layer, dec_layer, _infer([enc_layer], H_prev)
 
 
@@ -307,27 +316,18 @@ def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> Autoencoder
 def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> tuple[AutoencoderModel, list[float]]:
     """End-to-end reconstruction training of the full stack, no dropout."""
     rng = np.random.default_rng(cfg.seed + 1)
-    trace = _train(model.layers, X, cfg, rng, dropout=False)
+    trace = _train(model.layers, X, cfg, rng, 0.0)
     return model, trace
 
 
 def encode(model: AutoencoderModel, X) -> np.ndarray:
     """Apply the encoder half (dropout off); rows become code vectors."""
-    if X.shape[1] != model.input_dim:
-        raise DimensionMismatchError(
-            f"expected {model.input_dim} columns, got {X.shape[1]}"
-        )
     return _infer(model.encoder_layers, X)
 
 
 def decode(model: AutoencoderModel, C) -> np.ndarray:
     """Apply the decoder half (dropout off); output may contain negatives."""
-    C = np.asarray(C, dtype=np.float64)
-    if C.shape[1] != model.code_dim:
-        raise DimensionMismatchError(
-            f"expected {model.code_dim} columns, got {C.shape[1]}"
-        )
-    return _infer(model.decoder_layers, C)
+    return _infer(model.decoder_layers, np.asarray(C, dtype=np.float64))
 
 
 def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss=None):
@@ -360,31 +360,39 @@ def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss
 
 
 def load_checkpoint(path) -> AutoencoderModel:
-    """Read a save_checkpoint file; malformed content raises MalformedLineError."""
+    """Read a save_checkpoint file; malformed content raises MalformedLineError.
+
+    The widths must chain from the header's input_dim through its code_dim back."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def read(n, what):
             if n > size - fh.tell():
-                raise MalformedLineError(f"{path}: truncated {what}")
+                raise MalformedLineError.at(path, f"truncated {what}")
             return fh.read(n)
 
         if read(len(_MAGIC), "header") != _MAGIC:
-            raise MalformedLineError(f"{path}: not a model checkpoint")
+            raise MalformedLineError.at(path, "not a model checkpoint")
         version, input_dim, code_dim, n_layers = struct.unpack("<IIII", read(16, "header"))
         if version != 1:
-            raise MalformedLineError(f"{path}: unsupported checkpoint version {version}")
+            raise MalformedLineError.at(path, f"unsupported checkpoint version {version}")
+        if not n_layers:
+            raise MalformedLineError.at(path, "no layers")
         if n_layers % 2:
-            raise MalformedLineError(f"{path}: odd layer count {n_layers}")
-        layers = []
+            raise MalformedLineError.at(path, f"odd layer count {n_layers}")
+        half, layers = n_layers // 2, []
         for i in range(n_layers):
             in_dim, out_dim, act = struct.unpack("<IIB", read(9, f"layer {i}"))
             if act not in _ACT_NAMES:
-                raise MalformedLineError(f"{path}: layer {i}: unknown activation code {act}")
+                raise MalformedLineError.at(path, f"layer {i}: unknown activation code {act}")
+            want_in = layers[-1].out_dim if layers else input_dim
+            want_out = {half - 1: code_dim, n_layers - 1: input_dim}.get(i, out_dim)
+            if (in_dim, out_dim) != (want_in, want_out):
+                what = f"layer {i}: widths {in_dim} -> {out_dim}, expected {want_in} -> {want_out}"
+                raise MalformedLineError.at(path, what)
             W = np.frombuffer(read(8 * in_dim * out_dim, f"layer {i}"), dtype="<f8")
             b = np.frombuffer(read(8 * out_dim, f"layer {i}"), dtype="<f8")
             layers.append(DenseLayer(W.reshape(out_dim, in_dim).copy(), b.copy(), _ACT_NAMES[act]))
         if fh.tell() != size:
-            raise MalformedLineError(f"{path}: trailing bytes after the last layer")
-    half = n_layers // 2
-    return AutoencoderModel(layers[:half], layers[half:], code_dim)
+            raise MalformedLineError.at(path, "trailing bytes after the last layer")
+    return AutoencoderModel(layers[:half], layers[half:])

@@ -47,7 +47,7 @@ _KEYS = {
     for name in ("", "fcm", "train")
 }
 _KEYS[""] |= {"fcm", "train", "paths", "compare"}
-_KEYS["paths"] = {*_PATH_FLAGS, "corpus", "stopwords", "embeddings"}
+_KEYS["paths"] = {*_PATH_FLAGS, "embeddings"}
 _KEYS["compare"] = {"methods", "clusters", "epochs"}
 
 
@@ -149,11 +149,11 @@ def _load_artifacts(vocabulary, matrix):
 
 
 def cmd_vectorize(args) -> int:
-    docs = textprep.read_corpus_jsonl(args.corpus)
     stopwords = textprep.load_stopwords(args.stopwords) if args.stopwords else set()
-    vocab, dtm = textprep.prepare_corpus(docs, stopwords)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    docs = textprep.read_corpus_jsonl(args.corpus)
+    vocab, dtm = textprep.prepare_corpus(docs, stopwords)
     textprep.save_vocabulary(vocab, out / "vocabulary.json")
     textprep.save_matrix(dtm, out / "matrix.txt")
     print(f"documents: {dtm.n_docs}")
@@ -187,8 +187,9 @@ def cmd_detect(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     pipe_cfg = _pipeline_config(cfg, args.seed)
     vocabulary, matrix, out_dir = _require_paths(cfg, "vocabulary", "matrix", "out_dir")
-    vocab, dtm = _load_artifacts(vocabulary, matrix)
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab, dtm = _load_artifacts(vocabulary, matrix)
     result = topics.detect(dtm, vocab, pipe_cfg)
     _save_detection(result, pipe_cfg, out)
     for warning in result.topic_set.warnings:
@@ -216,10 +217,10 @@ def cmd_compare(args) -> int:
     epoch_list = comp.get("epochs", [cfg["epochs"]])
     vocabulary, matrix, embeddings, out_dir = _require_paths(
         cfg, "vocabulary", "matrix", "embeddings", "out_dir")
-    vocab, dtm = _load_artifacts(vocabulary, matrix)
-    store = coherence.load_word_vectors(embeddings)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    vocab, dtm = _load_artifacts(vocabulary, matrix)
+    store = coherence.load_word_vectors(embeddings)
 
     rows = []
     for method in methods:

@@ -45,9 +45,9 @@ def load_word_vectors(path) -> WordVectorStore:
             try:
                 dim = int(fields[1])
             except ValueError as exc:  # more digits than int() accepts
-                raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
+                raise MalformedLineError.at(path, f"bad header ({exc})", 1) from exc
             if not dim:
-                raise MalformedLineError(f"{path}: line 1: embedding dimension is 0", 1)
+                raise MalformedLineError.at(path, "embedding dimension is 0", 1)
             lineno = 2
         else:
             fh.seek(0)
@@ -57,7 +57,7 @@ def load_word_vectors(path) -> WordVectorStore:
                 dim = _take_lines(path, lines, lineno, dim, vectors)
             lineno += len(lines)
     if dim is None or not vectors:
-        raise MalformedLineError(f"{path}: embedding file is empty")
+        raise MalformedLineError.at(path, "embedding file is empty")
     return WordVectorStore(dim, vectors)
 
 
@@ -83,22 +83,16 @@ def _take_lines(path, lines, lineno, dim, vectors) -> int:
         if dim is None:
             dim = len(values)
             if not dim:
-                raise MalformedLineError(f"{path}: line {lineno}: embedding dimension is 0",
-                                         lineno)
+                raise MalformedLineError.at(path, "embedding dimension is 0", lineno)
         if len(values) != dim:
-            raise MalformedLineError(
-                f"{path}: line {lineno}: expected {dim} values, got {len(values)}",
-                lineno,
-            )
+            raise MalformedLineError.at(path, f"expected {dim} values, got {len(values)}", lineno)
         if term in vectors:
             log.warning("duplicate term %r at line %d ignored", term, lineno)
             continue
         try:
             vectors[term] = np.array(values, dtype=np.float64)
         except ValueError as exc:
-            raise MalformedLineError(
-                f"{path}: line {lineno}: non-numeric value ({exc})", lineno
-            ) from exc
+            raise MalformedLineError.at(path, f"non-numeric value ({exc})", lineno) from exc
     return dim
 
 

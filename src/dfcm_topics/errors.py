@@ -44,6 +44,11 @@ class MalformedLineError(DfcmError):
         super().__init__(message)
         self.line_number = line_number
 
+    @classmethod
+    def at(cls, path, what, line=None):
+        """The error "<path>: line <line>: <what>", or "<path>: <what>" without a line."""
+        return cls(f"{path}: {what}" if line is None else f"{path}: line {line}: {what}", line)
+
 
 class ZeroVectorError(DfcmError):
     """Cosine similarity is undefined for a zero vector."""

@@ -143,7 +143,7 @@ def open_text(path):
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise MalformedLineError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise MalformedLineError.at(path, f"not UTF-8 text ({exc})") from exc
 
 
 def load_stopwords(path) -> set[str]:
@@ -169,20 +169,13 @@ def read_corpus_jsonl(path) -> list[dict]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
-                raise MalformedLineError(
-                    f"{path}: line {lineno}: invalid JSON ({exc})", lineno
-                ) from exc
+                raise MalformedLineError.at(path, f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise MalformedLineError(
-                    f"{path}: line {lineno}: expected object with 'id' and 'text'",
-                    lineno,
-                )
+                raise MalformedLineError.at(path, "expected object with 'id' and 'text'", lineno)
             doc_id = str(obj["id"])  # 5 and "5" are the same id
             if obj["id"] is None or not doc_id or doc_id in seen:  # 0 is the id "0"
-                raise MalformedLineError(
-                    f"{path}: line {lineno}: duplicate or empty document id {obj['id']!r}",
-                    lineno,
-                )
+                what = f"duplicate or empty document id {obj['id']!r}"
+                raise MalformedLineError.at(path, what, lineno)
             seen.add(doc_id)
             docs.append({"id": doc_id, "text": str(obj["text"])})
     return docs
@@ -215,13 +208,22 @@ def load_json(path, build):
         line = getattr(exc, "lineno", None)
         raise MalformedLineError(f"{path}: invalid JSON ({exc})", line) from exc
     except KeyError as exc:
-        raise MalformedLineError(f"{path}: missing key {exc}") from exc
+        raise MalformedLineError.at(path, f"missing key {exc}") from exc
     except TypeError as exc:
-        raise MalformedLineError(f"{path}: malformed content ({exc})") from exc
+        raise MalformedLineError.at(path, f"malformed content ({exc})") from exc
 
 
 def load_vocabulary(path) -> Vocabulary:
-    return load_json(path, lambda d: Vocabulary(d["terms"], d["doc_freq"], d["threshold"]))
+    """Read a save_vocabulary file; its terms must be unique strings in sorted order."""
+
+    def build(d):
+        terms = d["terms"]
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+                and all(a < b for a, b in zip(terms, terms[1:]))):
+            raise MalformedLineError.at(path, "terms must be unique strings in sorted order")
+        return Vocabulary(terms, d["doc_freq"], d["threshold"])
+
+    return load_json(path, build)
 
 
 def save_matrix(dtm: DocTermMatrix, path) -> None:
@@ -259,11 +261,11 @@ def _parse_entries(path, lines, first) -> np.ndarray:
     for i, line in enumerate(lines):
         lineno, parts = first + i, line.split()
         if len(parts) != 3:
-            raise MalformedLineError(f"{path}: line {lineno}: expected 'row col weight'", lineno)
+            raise MalformedLineError.at(path, "expected 'row col weight'", lineno)
         try:
             block[i] = int(parts[0]), int(parts[1]), float(parts[2])
         except (ValueError, OverflowError) as exc:  # overflow: an index past int64
-            raise MalformedLineError(f"{path}: line {lineno}: {exc}", lineno) from exc
+            raise MalformedLineError.at(path, exc, lineno) from exc
     return block
 
 
@@ -276,7 +278,7 @@ def load_matrix(path) -> DocTermMatrix:
             n_docs, n_terms, nnz = (int(x) for x in header)
             entries = np.empty(nnz, _ENTRY)
         except (ValueError, OverflowError) as exc:
-            raise MalformedLineError(f"{path}: line 1: {exc}", 1) from exc
+            raise MalformedLineError.at(path, exc, 1) from exc
         for start in range(0, nnz, ENTRY_CHUNK):  # entry i is on line i + 2
             k = min(ENTRY_CHUNK, nnz - start)
             lines = list(itertools.islice(fh, k))
@@ -288,9 +290,7 @@ def load_matrix(path) -> DocTermMatrix:
     rows, cols, vals = entries["row"], entries["col"], entries["weight"]
     if rest.strip():
         line = nnz + 2 + rest[: len(rest) - len(rest.lstrip())].count("\n")
-        raise MalformedLineError(
-            f"{path}: line {line}: entry past the header's nnz {nnz}", line
-        )
+        raise MalformedLineError.at(path, f"entry past the header's nnz {nnz}", line)
     # Checked on whole arrays, which keeps per-line work out of the parse loop.
     for bad, what in (
         ((rows < 0) | (rows >= n_docs), f"row index outside [0, {n_docs})"),
@@ -299,7 +299,7 @@ def load_matrix(path) -> DocTermMatrix:
     ):
         if bad.any():
             line = int(np.argmax(bad)) + 2
-            raise MalformedLineError(f"{path}: line {line}: {what}", line)
+            raise MalformedLineError.at(path, what, line)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms))
     if mat.nnz < nnz:  # scipy summed duplicate (row, col) entries into one
         _, first = np.unique(np.stack([rows, cols], axis=1), axis=0, return_index=True)
@@ -307,7 +307,7 @@ def load_matrix(path) -> DocTermMatrix:
         dup[first] = False
         line = int(np.argmax(dup)) + 2
         where = f"({rows[line - 2]}, {cols[line - 2]})"
-        raise MalformedLineError(f"{path}: line {line}: duplicate entry {where}", line)
+        raise MalformedLineError.at(path, f"duplicate entry {where}", line)
     return DocTermMatrix(mat)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import svd as tsvd
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, MalformedLineError
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .seeding import stage_seed
 from .textprep import DocTermMatrix, Vocabulary, load_json, save_json
@@ -74,7 +74,7 @@ class DetectionResult:
 
 
 def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
-    """Top-n largest-weight terms, ties broken lexicographically.
+    """Top-n largest-weight terms, ties broken by the sorted vocabulary's order.
 
     Only strictly positive weights qualify; a warning is returned when
     fewer than n remain.
@@ -88,9 +88,8 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
     if len(keep) > n:  # only terms at or above the n-th largest weight, ties included
         cut = np.partition(mu[keep], len(keep) - n)[len(keep) - n]
         keep = keep[mu[keep] >= cut]
-    positive = [(float(mu[j]), vocab.terms[j]) for j in keep]
-    positive.sort(key=lambda wt: (-wt[0], wt[1]))
-    words = [(term, weight) for weight, term in positive[:n]]
+    keep = keep[np.argsort(-mu[keep], kind="stable")[:n]]
+    words = [(vocab.terms[j], float(mu[j])) for j in keep]
     warning = None
     if len(words) < n:
         warning = f"only {len(words)} strictly positive weights available"
@@ -149,10 +148,13 @@ def save_topic_set(topic_set: TopicSet, path) -> None:
 def load_topic_set(path) -> TopicSet:
     """Topics are read in file order; a topic's position is its index."""
 
+    def word(w):
+        if not (isinstance(w["term"], str) and type(w["weight"]) in (int, float)):
+            raise MalformedLineError.at(path, f"word {w!r} needs a string term and a number weight")
+        return w["term"], w["weight"]
+
     def build(payload):
-        topics = [
-            Topic([(w["term"], w["weight"]) for w in t["words"]]) for t in payload["topics"]
-        ]
+        topics = [Topic([word(w) for w in t["words"]]) for t in payload["topics"]]
         return TopicSet(topics, payload["method"], payload["config"], payload["warnings"])
 
     return load_json(path, build)

@@ -198,7 +198,6 @@ class TestGradients:
         model = ae.AutoencoderModel(
             [ae.DenseLayer(np.eye(2), np.zeros(2), "linear")],
             [ae.DenseLayer(np.eye(2), np.zeros(2), "linear")],
-            2,
         )
         grads = backprop_gradients(model, x)
         for gW, gb in grads:
@@ -210,7 +209,7 @@ class TestGradients:
         W = rng.normal(size=(4, 4))
         X = rng.normal(size=(10, 4))
         model = ae.AutoencoderModel(
-            [ae.DenseLayer(W.copy(), np.zeros(4), "linear")], [], 4
+            [ae.DenseLayer(W.copy(), np.zeros(4), "linear")], []
         )
         (gW, _), = backprop_gradients(model, X)
         expected = 2.0 * (X @ W.T - X).T @ X / X.shape[0]
@@ -261,7 +260,7 @@ class TestTraining:
             H, model.encoder_layers[0], model.decoder_layers[-1], cfg,
             np.random.default_rng(2),
         )
-        pair = ae.AutoencoderModel([enc], [dec], enc.out_dim)
+        pair = ae.AutoencoderModel([enc], [dec])
         assert ae.reconstruction_loss(pair, H) < 1e-4
         assert H_next.shape == (32, 8)
 
@@ -468,6 +467,20 @@ class TestMatchesReferenceForward:
 
 
 class TestEncodeDecode:
+    def test_inference_holds_one_layer_at_a_time(self):
+        # Only a layer's input and output need to coexist: at most the 500-
+        # and 2,000-wide activations of one block.
+        n = ae.INFER_BATCH
+        X = sp.random(n, 700, density=0.01, random_state=0, format="csr")
+        model = ae.build_autoencoder(700, 5, seed=0)
+        tracemalloc.start()
+        try:
+            ae.encode(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * n * (500 + 2000) * 8
+
     def test_shapes(self):
         model = ae.build_autoencoder(30, 4, seed=0, hidden_dims=(8,))
         X = np.random.default_rng(0).normal(size=(11, 30))
@@ -535,6 +548,18 @@ def _corrupt(data, offset, fmt, value):
     return data[:offset] + struct.pack(fmt, value) + data[offset + struct.calcsize(fmt) :]
 
 
+def _packed(input_dim, code_dim, widths):
+    """A checkpoint whose header claims input_dim and code_dim, over zero-weight
+    linear layers of the given (in_dim, out_dim) widths."""
+    data = ae._MAGIC + struct.pack("<IIII", 1, input_dim, code_dim, len(widths))
+    for in_dim, out_dim in widths:
+        data += struct.pack("<IIB", in_dim, out_dim, 1) + bytes(8 * out_dim * (in_dim + 1))
+    return data
+
+
+_CHAIN = [(6, 4), (4, 2), (2, 4), (4, 6)]
+
+
 # Checkpoint layout: 8-byte magic, then version, input_dim, code_dim and
 # n_layers as <IIII, then per layer <IIB (in_dim, out_dim, activation code)
 # and the float64 weights and bias.
@@ -548,9 +573,17 @@ def _corrupt(data, offset, fmt, value):
         (lambda d: _corrupt(d, 32, "<B", 7), "layer 0: unknown activation code 7"),
         (lambda d: _corrupt(d, 20, "<I", 3), "odd layer count 3"),
         (lambda d: d + b"\0", "trailing bytes after the last layer"),
+        (lambda d: _packed(6, 2, []), "no layers"),
+        (lambda d: _packed(9, 3, _CHAIN), "layer 0: widths 6 -> 4, expected 9 -> 4"),
+        (lambda d: _packed(6, 3, _CHAIN), "layer 1: widths 4 -> 2, expected 4 -> 3"),
+        (lambda d: _packed(6, 2, [(6, 4), (4, 2), (3, 4), (4, 6)]),
+         "layer 2: widths 3 -> 4, expected 2 -> 4"),
+        (lambda d: _packed(6, 2, [(6, 4), (4, 2), (2, 4), (4, 5)]),
+         "layer 3: widths 4 -> 5, expected 4 -> 6"),
     ],
     ids=["magic", "version", "short-header", "short-layer", "activation", "odd-layers",
-         "trailing"],
+         "trailing", "no-layers", "header-input-dim", "header-code-dim", "broken-chain",
+         "output-not-input"],
 )
 def test_malformed_checkpoint_is_rejected(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"

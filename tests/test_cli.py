@@ -511,6 +511,71 @@ def test_malformed_topics_is_a_data_error(corpus_dir, tmp_path, caplog, edit, na
     assert str(path) in caplog.text and named in caplog.text
 
 
+@pytest.mark.parametrize("bad, payload", [
+    ("vocabulary", {"terms": "abc"}),
+    ("vocabulary", {"terms": [1, 2]}),
+    ("vocabulary", {"terms": ["a", "a"]}),
+    ("vocabulary", {"terms": ["b", "a"]}),
+    ("topics", {"term": 5, "weight": 1.0}),
+    ("topics", {"term": "a", "weight": "x"}),
+    ("topics", {"term": "a", "weight": True}),
+], ids=["terms-string", "terms-ints", "terms-duplicate", "terms-unsorted",
+        "topic-term-int", "topic-weight-string", "topic-weight-bool"])
+def test_wrongly_typed_json_content_is_a_data_error(corpus_dir, artifacts, tmp_path, caplog,
+                                                    bad, payload):
+    path = tmp_path / f"{bad}.json"
+    if bad == "vocabulary":
+        path.write_text(json.dumps({**payload, "doc_freq": {}, "threshold": 10}))
+        cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                            paths={"vocabulary": str(path)})
+        load, argv = textprep.load_vocabulary, ["detect", "--config", cfg, "--seed", "1"]
+    else:
+        path.write_text(json.dumps({"method": "efcm", "config": {}, "warnings": [],
+                                    "topics": [{"index": 0, "words": [payload]}]}))
+        load = topics.load_topic_set
+        argv = ["evaluate", "--topics", path, "--embeddings", corpus_dir / "embeddings.txt"]
+    with pytest.raises(MalformedLineError, match=f"^{re.escape(str(path))}: "):
+        load(path)
+    assert main([str(arg) for arg in argv]) == cli.EXIT_DATA
+    assert f"{path}: " in caplog.text
+
+
+@pytest.mark.parametrize("bad", ["stopwords", "out_dir"])
+def test_vectorize_fails_before_reading_the_corpus(corpus_dir, tmp_path, monkeypatch, bad):
+    read = mock.Mock(side_effect=AssertionError("the corpus was read"))
+    monkeypatch.setattr(textprep, "read_corpus_jsonl", read)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    stopwords = tmp_path / "missing.txt" if bad == "stopwords" else "en"
+    out = blocker / "vec" if bad == "out_dir" else tmp_path / "vec"
+    rc = main(["vectorize", "--corpus", str(corpus_dir / "corpus.jsonl"),
+               "--stopwords", str(stopwords), "--out-dir", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert not read.called
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+def test_out_dir_created_before_any_input_is_read(artifacts, tmp_path, monkeypatch, command):
+    work = [(textprep, "load_vocabulary"), (textprep, "load_matrix"),
+            (coherence, "load_word_vectors"), (topics, "detect"), (topics, "represent")]
+    for module, name in work:
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, blocker / "run",
+                        paths={"embeddings": str(tmp_path / "embeddings.txt")})
+    assert main([command, "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert not any(getattr(module, name).called for module, name in work)
+
+
+@pytest.mark.parametrize("key", ["corpus", "stopwords"])
+def test_paths_no_command_reads_are_rejected(artifacts, tmp_path, caplog, key):
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                        paths={key: str(tmp_path / key)})
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    assert f"unknown key(s) in config.paths: ['{key}']" in caplog.text
+
+
 def _topics_text():
     words = [{"term": f"topic0word{j:02d}", "weight": 1.0} for j in range(3)]
     return json.dumps({"method": "efcm", "config": {}, "warnings": [],
