@@ -199,10 +199,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = Path(args.out) if args.out else Path(args.topics).with_name("coherence.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
     topic_set = topics.load_topic_set(args.topics)
     store = coherence.load_word_vectors(args.embeddings)
     report = coherence.evaluate(topic_set, store)
-    out = Path(args.out) if args.out else Path(args.topics).with_name("coherence.json")
     coherence.save_report(report, out)
     print(f"mean TC-W2V: {report.mean_score:.6f} "
           f"({len(report.per_topic)} scored, {len(report.skipped_topics)} skipped)")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyClusterError,
     InvalidFuzzifierError,
     NonFiniteInputError,
@@ -154,6 +155,8 @@ def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
 
 def kmeans_init(X: np.ndarray, c: int, runs: int = 10, seed: int = 0) -> np.ndarray:
     """Best of `runs` k-means++/Lloyd runs by within-cluster SSE."""
+    if runs < 1:
+        raise ValueError("init_runs must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise NonFiniteInputError("data matrix contains NaN or Inf")
@@ -163,7 +166,7 @@ def kmeans_init(X: np.ndarray, c: int, runs: int = 10, seed: int = 0) -> np.ndar
     xx = np.sum(X**2, axis=1)
     d2 = np.empty((c, X.shape[0]))
     best_centers, best_sse = None, np.inf
-    for _ in range(max(1, runs)):
+    for _ in range(runs):
         centers, sse = _lloyd(X, xx, _kmeans_pp_seed(X, xx, c, rng), d2)
         if sse < best_sse:
             best_centers, best_sse = centers, sse
@@ -235,11 +238,13 @@ def fcm_fit(
     if X.shape[0] < config.c:
         raise TooFewPointsError(f"{X.shape[0]} points < {config.c} clusters")
 
-    Q = (
-        np.asarray(init, dtype=np.float64)
-        if init is not None
-        else kmeans_init(X, config.c, config.init_runs, config.seed)
-    )
+    if init is None:
+        init = kmeans_init(X, config.c, config.init_runs, config.seed)
+    Q = np.asarray(init, dtype=np.float64)
+    if Q.shape != (config.c, X.shape[1]):
+        raise DimensionMismatchError(f"init shape {Q.shape} != {(config.c, X.shape[1])}")
+    if not np.all(np.isfinite(Q)):
+        raise NonFiniteInputError("init centroids contain NaN or Inf")
     trace: list[float] = []
     xx = np.sum(X**2, axis=1)
     # The (c, n) buffers of the fit: M and M_prev swap each iteration, and

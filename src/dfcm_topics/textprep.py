@@ -61,7 +61,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Pruned, lexicographically ordered term set of a corpus."""
+    """Pruned term set of a corpus: unique strings in sorted order, the topic-word tie-break."""
 
     terms: list[str]
     doc_freq: dict[str, int]
@@ -69,7 +69,11 @@ class Vocabulary:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        self.index = {term: i for i, term in enumerate(self.terms)}
+        terms = self.terms
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+                and all(a < b for a, b in zip(terms, terms[1:]))):
+            raise TypeError("terms must be unique strings in sorted order")
+        self.index = {term: i for i, term in enumerate(terms)}
 
     def __len__(self):
         return len(self.terms)
@@ -100,9 +104,12 @@ def build_vocabulary(corpus: list[list[str]], stopwords: set[str]) -> Vocabulary
 
 @dataclass
 class DocTermMatrix:
-    """Sparse nonnegative TF-IDF matrix, documents x vocabulary terms."""
+    """Sparse nonnegative TF-IDF matrix, documents x terms; canonicalizes the given CSR in place."""
 
     matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        self.matrix.sum_duplicates()  # sorts indices, sums repeats; a flag check once canonical
 
     @property
     def n_docs(self) -> int:
@@ -131,9 +138,9 @@ def vectorize_tfidf(corpus: list[list[str]], vocab: Vocabulary) -> DocTermMatrix
     indptr = np.cumsum([0] + [len(row) for row in ids])
     cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
     mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
-    mat.sum_duplicates()  # repeated term ids become counts, indices sorted
-    mat.data *= idf[mat.indices]
-    return DocTermMatrix(mat)
+    dtm = DocTermMatrix(mat)  # repeated term ids become counts
+    dtm.matrix.data *= idf[dtm.matrix.indices]
+    return dtm
 
 
 @contextlib.contextmanager
@@ -214,30 +221,21 @@ def load_json(path, build):
 
 
 def load_vocabulary(path) -> Vocabulary:
-    """Read a save_vocabulary file; its terms must be unique strings in sorted order."""
-
-    def build(d):
-        terms = d["terms"]
-        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
-                and all(a < b for a, b in zip(terms, terms[1:]))):
-            raise MalformedLineError.at(path, "terms must be unique strings in sorted order")
-        return Vocabulary(terms, d["doc_freq"], d["threshold"])
-
-    return load_json(path, build)
+    """Read a save_vocabulary file; Vocabulary checks its terms."""
+    return load_json(path, lambda d: Vocabulary(d["terms"], d["doc_freq"], d["threshold"]))
 
 
 def save_matrix(dtm: DocTermMatrix, path) -> None:
     """Write the sparse triplet text format.
 
     Header line `n_docs n_terms nnz`, then one `row col weight` line per
-    stored entry, weights printed with 17 significant digits.
+    stored entry in (row, col) order, weights printed with 17 significant digits.
     """
-    coo = dtm.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    coo = dtm.matrix.tocoo()  # in stored order: the canonical CSR's is (row, col)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
         for start in range(0, coo.nnz, WRITE_CHUNK):
-            at = order[start : start + WRITE_CHUNK]
+            at = slice(start, start + WRITE_CHUNK)
             entries = zip(coo.row[at].tolist(), coo.col[at].tolist(), coo.data[at].tolist())
             fh.write("".join(map("%d %d %.17g\n".__mod__, entries)))
 

@@ -85,9 +85,6 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
             f"vector length {mu.shape[0]} != vocabulary size {len(vocab)}"
         )
     keep = np.flatnonzero(mu > 0)
-    if len(keep) > n:  # only terms at or above the n-th largest weight, ties included
-        cut = np.partition(mu[keep], len(keep) - n)[len(keep) - n]
-        keep = keep[mu[keep] >= cut]
     keep = keep[np.argsort(-mu[keep], kind="stable")[:n]]
     words = [(vocab.terms[j], float(mu[j])) for j in keep]
     warning = None

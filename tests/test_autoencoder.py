@@ -5,6 +5,7 @@ from itertools import chain
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dfcm_topics import autoencoder as ae
 from dfcm_topics.errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
@@ -592,3 +593,24 @@ def test_malformed_checkpoint_is_rejected(tmp_path, corrupt, message):
     with pytest.raises(MalformedLineError) as err:
         ae.load_checkpoint(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+       keep=st.floats(0.0, 1.0) | st.just(1.0))
+def test_checkpoint_loader_returns_usable_model_or_names_the_file(tmp_path, edits, keep):
+    """A valid checkpoint with up to 4 bytes changed and its tail cut at a random point."""
+    path = tmp_path / "model.bin"
+    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path)
+    data = bytearray(path.read_bytes())
+    for at, byte in edits:
+        data[at % len(data)] = byte
+    path.write_bytes(bytes(data[: round(keep * len(data))]))
+    try:
+        model = ae.load_checkpoint(path)
+    except MalformedLineError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert ae.encode(model, np.ones((2, model.input_dim))).shape == (2, model.code_dim)
+    assert ae.decode(model, np.ones((2, model.code_dim))).shape == (2, model.input_dim)

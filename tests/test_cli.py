@@ -21,6 +21,7 @@ from dfcm_topics.topics import PipelineConfig
 import dfcm_topics.cli as cli
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import planted_corpus, write_planted_embeddings
 
@@ -582,6 +583,29 @@ def _topics_text():
                        "topics": [{"index": 0, "words": words}]})
 
 
+def _evaluate(corpus_dir, tmp_path, out):
+    path = tmp_path / "topics.json"
+    path.write_text(_topics_text())
+    return main(["evaluate", "--topics", str(path),
+                 "--embeddings", str(corpus_dir / "embeddings.txt"), "--out", str(out)])
+
+
+def test_evaluate_fails_on_its_output_before_reading_input(corpus_dir, tmp_path, monkeypatch):
+    work = [(topics, "load_topic_set"), (coherence, "load_word_vectors")]
+    for module, name in work:
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _evaluate(corpus_dir, tmp_path, blocker / "report" / "coherence.json") == cli.EXIT_DATA
+    assert not any(getattr(module, name).called for module, name in work)
+
+
+def test_evaluate_creates_its_output_directory(corpus_dir, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert _evaluate(corpus_dir, tmp_path, out) == cli.EXIT_OK
+    assert len(json.loads(out.read_text())["per_topic"]) == 1
+
+
 @pytest.mark.parametrize(
     "bad", ["corpus", "stopwords", "vocabulary", "matrix", "topics", "embeddings", "config"]
 )
@@ -726,3 +750,33 @@ def test_detect_help_lists_one_flag_per_config_field(capsys):
     readme = README.read_text()
     overrides = sorted(flags - {"--config", "--seed"})
     assert [flag for flag in overrides if f"`{flag}`" not in readme] == []
+
+
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 50) | st.integers() | st.floats()
+    | st.sampled_from(["dfcm", "efcm", "sgd_momentum", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+def _config_section(keys):
+    """A JSON object over the section's keys (and "seed"), or any JSON value."""
+    return st.dictionaries(st.sampled_from(sorted({*keys, "seed"})), _CONFIG_VALUES,
+                           max_size=4) | _CONFIG_VALUES
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.fixed_dictionaries({}, optional={
+    key: _config_section(cli._KEYS[key]) if key in cli._KEYS else _CONFIG_VALUES
+    for key in sorted(cli._KEYS[""])
+}) | _CONFIG_VALUES)
+def test_run_config_loader_returns_or_raises_config_error(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    try:
+        cli.load_run_config(path)
+    except ConfigError:
+        pass

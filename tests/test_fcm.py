@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from dfcm_topics import fcm
 from dfcm_topics.errors import (
+    DimensionMismatchError,
     EmptyClusterError,
     InvalidFuzzifierError,
     NonFiniteInputError,
@@ -300,6 +301,12 @@ class TestKmeansInit:
         with pytest.raises(NonFiniteInputError):
             fcm.kmeans_init(np.array([[np.nan]]), 1)
 
+    def test_zero_runs_rejected_as_by_the_config(self):
+        with pytest.raises(ValueError, match="^init_runs must be >= 1$"):
+            fcm.FcmConfig(init_runs=0)
+        with pytest.raises(ValueError, match="^init_runs must be >= 1$"):
+            fcm.kmeans_init(np.arange(10.0).reshape(5, 2), 3, runs=0)
+
     def test_empty_cluster_is_reseeded_to_farthest_point(self):
         # Three distinct points, two coincident starting centres: the
         # second centre wins no point (ties go to the lowest index) and is
@@ -544,6 +551,21 @@ class TestFcmFit:
         X = np.array([[np.nan, 0.0], [1.0, 1.0]])
         with pytest.raises(NonFiniteInputError):
             fcm.fcm_fit(X, fcm.FcmConfig(c=1))
+
+    @pytest.mark.parametrize("init", [np.zeros((5, 2)), np.zeros((3, 3)), np.zeros(6)],
+                             ids=["too-many-centroids", "wrong-width", "flat"])
+    def test_init_shape_must_match_the_config(self, init):
+        X = np.arange(20.0).reshape(10, 2)
+        with pytest.raises(DimensionMismatchError, match="init shape"):
+            fcm.fcm_fit(X, fcm.FcmConfig(c=3), init=init)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_init(self, bad):
+        X = np.arange(20.0).reshape(10, 2)
+        init = X[:3].copy()
+        init[1, 0] = bad
+        with pytest.raises(NonFiniteInputError):
+            fcm.fcm_fit(X, fcm.FcmConfig(c=3), init=init)
 
     def test_determinism(self, blobs):
         X, _, _ = blobs

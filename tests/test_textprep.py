@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 from unittest import mock
 
@@ -6,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dfcm_topics import coherence, textprep
+from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
 from conftest import planted_corpus
@@ -132,6 +134,12 @@ class TestBuildVocabulary:
         vocab = textprep.build_vocabulary(docs, set())
         assert vocab.terms == ["a", "b"]
         assert vocab.index == {"a": 0, "b": 1}
+
+    @pytest.mark.parametrize("terms", [["b", "a"], ["a", "a"], ["a", 1], ("a", "b"), "ab"],
+                             ids=["unsorted", "repeated", "not-a-string", "tuple", "string"])
+    def test_terms_must_be_unique_sorted_strings(self, terms):
+        with pytest.raises(TypeError, match="^terms must be unique strings in sorted order$"):
+            textprep.Vocabulary(terms, {}, 0)
 
 
 def _unpruned_vocab(corpus):
@@ -291,6 +299,32 @@ class TestSerialization:
         loaded = textprep.load_matrix(path)
         assert loaded.n_docs == 3 and loaded.n_terms == 3
         np.testing.assert_array_equal(loaded.matrix.toarray(), dtm.matrix.toarray())
+
+    def test_repeated_entry_is_summed_written_and_read_back(self, tmp_path):
+        mat = sp.csr_matrix((np.array([0.25, 2.0, 0.5]), [1, 0, 1], [0, 3, 3]), shape=(2, 2))
+        dtm = textprep.DocTermMatrix(mat)
+        assert dtm.matrix is mat and mat.has_canonical_format and dtm.nnz == 2
+        path = tmp_path / "matrix.txt"
+        textprep.save_matrix(dtm, path)
+        assert path.read_text() == "2 2 2\n0 0 2\n0 1 0.75\n"
+        np.testing.assert_array_equal(textprep.load_matrix(path).matrix.toarray(),
+                                      [[2.0, 0.75], [0.0, 0.0]])
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=6),
+                         min_size=1, max_size=4))
+    def test_every_matrix_round_trips(self, tmp_path, rows):
+        """Unsorted indices and repeats included; quarter weights sum exactly in any order."""
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        entries = [entry for row in rows for entry in row]
+        cols = np.array([col for col, _ in entries], dtype=np.int64)
+        data = np.array([w / 4 for _, w in entries], dtype=np.float64)
+        mat = sp.csr_matrix((data, cols, indptr), shape=(len(rows), 4))
+        dense = mat.toarray()
+        path = tmp_path / "matrix.txt"
+        textprep.save_matrix(textprep.DocTermMatrix(mat), path)
+        np.testing.assert_array_equal(textprep.load_matrix(path).matrix.toarray(), dense)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 12])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
@@ -454,10 +488,40 @@ _FRAGMENTS = ['{"id": 1, "text": "a b"}', '{"id": "", "text": 1}', '{"id": [1]}'
               "1" * 4400, "\n", "\r\n", " ", "\t", '"', "{", "}", ":", ","]
 
 
-@pytest.mark.parametrize("load", [textprep.read_corpus_jsonl, coherence.load_word_vectors])
-@settings(max_examples=30, deadline=None,
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_VALID_JSON = [  # one valid payload of each JSON input
+    {"id": 1, "text": "a b"},
+    {"terms": ["a", "b"], "doc_freq": {"a": 10, "b": 12}, "threshold": 10},
+    {"method": "efcm", "config": {"c": 1}, "warnings": [],
+     "topics": [{"index": 0, "words": [{"term": "a", "weight": 0.5}]}]},
+]
+
+
+@st.composite
+def _near_valid(draw, value):
+    """value with one entry, at any depth, dropped or replaced by arbitrary JSON."""
+    if not (isinstance(value, (dict, list)) and value) or not draw(st.integers(0, 4)):
+        return draw(_JSON)
+    value = copy.copy(value)
+    key = draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+    if draw(st.integers(0, 4)):  # mostly deeper
+        value[key] = draw(_near_valid(value[key]))
+    else:
+        del value[key]
+    return value
+
+
+@pytest.mark.parametrize("load", [textprep.read_corpus_jsonl, coherence.load_word_vectors,
+                                  textprep.load_vocabulary, topics.load_topic_set])
+@settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.text() | st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+@given(text=st.text() | st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)
+       | (_JSON | st.sampled_from(_VALID_JSON).flatmap(_near_valid)).map(json.dumps))
 @example(text="2 \u00b3\nw 1\n")  # a superscript passes isdigit() but not int()
 @example(text=f'{{"id": {"1" * 4400}, "text": "a"}}\n')  # past int()'s digit limit
 @example(text=f"2 {'1' * 4400}\nw 1\n")
@@ -468,4 +532,5 @@ def test_loader_returns_or_raises_malformed_line(tmp_path, load, text):
         load(path)
     except MalformedLineError as exc:
         assert str(path) in str(exc)
+        assert str(exc).startswith(f"{path}: ")
         assert exc.line_number is None or 1 <= exc.line_number <= len(text.splitlines()) + 1
