@@ -76,8 +76,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        if not 0 < self.learning_rate < float("inf"):  # written so that NaN fails
+            raise ValueError("learning_rate must be finite and > 0")
+        for name in ("dropout_rate", "beta1", "beta2", "momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.stabilizer > 0:
+            raise ValueError("stabilizer must be > 0")
         if self.optimizer not in ("adaptive_moments", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

@@ -65,7 +65,7 @@ def load_run_config(path) -> dict:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=textprep.reject_non_finite)
     except (OSError, ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -202,7 +202,8 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out) if args.out else Path(args.topics).with_name("coherence.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     topic_set = topics.load_topic_set(args.topics)
-    store = coherence.load_word_vectors(args.embeddings)
+    words = {term for topic in topic_set.topics for term, _ in topic.words}
+    store = coherence.load_word_vectors(args.embeddings, words)
     report = coherence.evaluate(topic_set, store)
     coherence.save_report(report, out)
     print(f"mean TC-W2V: {report.mean_score:.6f} "
@@ -221,7 +222,7 @@ def cmd_compare(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab, dtm = _load_artifacts(vocabulary, matrix)
-    store = coherence.load_word_vectors(embeddings)
+    store = coherence.load_word_vectors(embeddings, vocab.terms)  # topic words are terms
 
     rows = []
     for method in methods:

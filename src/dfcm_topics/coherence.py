@@ -32,12 +32,16 @@ class CoherenceReport:
     skipped_topics: list[int] = field(default_factory=list)
 
 
-def load_word_vectors(path) -> WordVectorStore:
+def load_word_vectors(path, words=None) -> WordVectorStore:
     """Parse a text embedding file: optional `count dim` header, then
     one `term v1 ... v_dim` line per term. Duplicate terms keep the
-    first occurrence. The store holds row views of per-chunk blocks.
+    first occurrence. Every line is parsed and checked, but with `words`
+    given only their vectors are kept, copied out of their chunk's block;
+    without it the store holds row views of per-chunk blocks.
     """
     vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()  # every term of the file, kept or not
+    words = None if words is None else set(words)
     dim = None
     with open_text(path) as fh:
         fields = fh.readline().split()
@@ -53,27 +57,32 @@ def load_word_vectors(path) -> WordVectorStore:
             fh.seek(0)
             lineno = 1
         while lines := list(itertools.islice(fh, VECTOR_CHUNK)):
-            if dim is None or not _take_block(lines, dim, vectors):
-                dim = _take_lines(path, lines, lineno, dim, vectors)
+            if dim is None or not _take_block(lines, dim, vectors, seen, words):
+                dim = _take_lines(path, lines, lineno, dim, vectors, seen, words)
             lineno += len(lines)
-    if dim is None or not vectors:
+    if dim is None or not seen:
         raise MalformedLineError.at(path, "embedding file is empty")
     return WordVectorStore(dim, vectors)
 
 
-def _take_block(lines, dim, vectors) -> bool:
+def _take_block(lines, dim, vectors, seen, words) -> bool:
     """Parse a chunk with numpy's C reader; False if a line is off or a term
     repeats, for _take_lines to keep the first or name the line."""
     terms = [line.split(maxsplit=1)[0] for line in lines if not line.isspace()]
     block = loadtxt_chunk(lines, np.float64, converters={0: lambda _: 0.0}, ndmin=2)
-    unique = len(set(terms)) == len(terms) and vectors.keys().isdisjoint(terms)
+    unique = len(set(terms)) == len(terms) and seen.isdisjoint(terms)
     if block is None or block.shape != (len(terms), dim + 1) or not unique:
         return False
-    vectors.update(zip(terms, block[:, 1:]))
+    seen.update(terms)
+    rows = block[:, 1:]
+    if words is not None:  # a fancy index copies, so the block is freed
+        kept = [i for i, term in enumerate(terms) if term in words]
+        terms, rows = [terms[i] for i in kept], rows[kept]
+    vectors.update(zip(terms, rows))
     return True
 
 
-def _take_lines(path, lines, lineno, dim, vectors) -> int:
+def _take_lines(path, lines, lineno, dim, vectors, seen, words) -> int:
     """Parse lines one by one from line number lineno; returns dim."""
     for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
@@ -86,13 +95,16 @@ def _take_lines(path, lines, lineno, dim, vectors) -> int:
                 raise MalformedLineError.at(path, "embedding dimension is 0", lineno)
         if len(values) != dim:
             raise MalformedLineError.at(path, f"expected {dim} values, got {len(values)}", lineno)
-        if term in vectors:
+        if term in seen:
             log.warning("duplicate term %r at line %d ignored", term, lineno)
             continue
         try:
-            vectors[term] = np.array(values, dtype=np.float64)
+            vector = np.array(values, dtype=np.float64)
         except ValueError as exc:
             raise MalformedLineError.at(path, f"non-numeric value ({exc})", lineno) from exc
+        seen.add(term)
+        if words is None or term in words:
+            vectors[term] = vector
     return dim
 
 

@@ -33,12 +33,12 @@ class FcmConfig:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("cluster count must be >= 1")
-        if self.f <= 1.0:
+        if not self.f > 1.0:  # written so that NaN fails
             raise InvalidFuzzifierError("fuzzification constant must be > 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not 0 < self.eps < float("inf"):
+            raise ValueError("eps must be finite and > 0")
         if self.init_runs < 1:
             raise ValueError("init_runs must be >= 1")
 

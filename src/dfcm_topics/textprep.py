@@ -202,6 +202,11 @@ def save_json(path, payload) -> None:
         fh.write("\n")
 
 
+def reject_non_finite(constant):
+    """json's parse_constant hook: NaN, Infinity and -Infinity are not numbers here."""
+    raise ValueError(f"non-finite number {constant}")
+
+
 def load_json(path, build):
     """Parse a JSON file and return build(payload).
 
@@ -210,7 +215,7 @@ def load_json(path, build):
     """
     try:
         with open_text(path) as fh:
-            return build(json.load(fh))
+            return build(json.load(fh, parse_constant=reject_non_finite))
     except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         line = getattr(exc, "lineno", None)
         raise MalformedLineError(f"{path}: invalid JSON ({exc})", line) from exc

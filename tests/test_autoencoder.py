@@ -249,6 +249,22 @@ class TestOptimizer:
             assert opt.v is None
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("learning_rate", NAN, "learning_rate"), ("learning_rate", INF, "learning_rate"),
+    ("learning_rate", 0.0, "learning_rate"), ("learning_rate", -1.0, "learning_rate"),
+    ("beta1", NAN, "beta1"), ("beta1", 1.0, "beta1"), ("beta2", -0.1, "beta2"),
+    ("momentum", NAN, "momentum"), ("momentum", -5.0, "momentum"),
+    ("dropout_rate", NAN, "dropout_rate"),
+    ("stabilizer", NAN, "stabilizer"), ("stabilizer", 0.0, "stabilizer"),
+])
+def test_train_config_rejects_values_outside_their_domain(field, value, named):
+    with pytest.raises(ValueError, match=f"^{named} must be "):
+        ae.TrainConfig(**{field: value})
+
+
 class TestTraining:
     def test_pretrain_layer_memorizes_constant(self):
         rng = np.random.default_rng(0)

@@ -722,6 +722,94 @@ def test_deeply_nested_json_names_the_file(corpus_dir, artifacts, tmp_path, capl
         assert rc == cli.EXIT_DATA and where in caplog.text
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("fcm", "fuzzifier", NAN), ("fcm", "eps", INF), ("fcm", "eps", -INF),
+    ("train", "learning_rate", NAN),
+], ids=["fuzzifier-nan", "eps-infinity", "eps-minus-infinity", "learning-rate-nan"])
+def test_non_finite_config_number_is_a_config_error(artifacts, tmp_path, caplog,
+                                                    section, key, value):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, **{section: {key: value}})
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
+    constant = json.dumps(value)
+    assert f"cannot read config {cfg}: non-finite number {constant}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--fuzzifier", "nan", "fuzzification"), ("--eps", "inf", "eps"),
+    ("--learning-rate", "-1.0", "learning_rate"), ("--learning-rate", "nan", "learning_rate"),
+    ("--beta1", "1.0", "beta1"), ("--beta2", "nan", "beta2"),
+    ("--momentum", "-5.0", "momentum"), ("--stabilizer", "nan", "stabilizer"),
+])
+def test_config_value_outside_its_domain_is_a_config_error(artifacts, tmp_path, caplog,
+                                                           flag, value, named):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out)  # an EFCM run
+    assert main(["detect", "--config", str(cfg), "--seed", "1", flag, value]) == cli.EXIT_CONFIG
+    assert f"invalid config: {named}" in caplog.text
+
+
+@pytest.mark.parametrize("bad", ["vocabulary", "topics"])
+def test_non_finite_json_number_is_a_data_error(corpus_dir, artifacts, tmp_path, caplog, bad):
+    path = tmp_path / f"bad-{bad}"
+    if bad == "vocabulary":
+        vocab = json.loads((artifacts / "vocabulary.json").read_text())
+        vocab["doc_freq"][vocab["terms"][0]] = NAN
+        path.write_text(json.dumps(vocab))
+    else:
+        payload = json.loads(_topics_text())
+        payload["topics"][0]["words"][0]["weight"] = -INF
+        path.write_text(json.dumps(payload))
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                        paths={"vocabulary": str(path)})
+    argv = {
+        "vocabulary": ["detect", "--config", cfg, "--seed", "1"],
+        "topics": ["evaluate", "--topics", path, "--embeddings", corpus_dir / "embeddings.txt"],
+    }[bad]
+    assert main([str(arg) for arg in argv]) == cli.EXIT_DATA
+    constant = "-Infinity" if bad == "topics" else "NaN"
+    assert f"{path}: invalid JSON (non-finite number {constant})" in caplog.text
+
+
+def test_compare_keeps_vectors_of_vocabulary_terms_only(corpus_dir, artifacts, tmp_path,
+                                                        monkeypatch):
+    calls = TestCompare._counting(monkeypatch, coherence, "load_word_vectors")
+    out = tmp_path / "sweep"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, compare={"clusters": [2, 3]},
+                        paths={"embeddings": str(corpus_dir / "embeddings.txt")})
+    assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+    vocab = textprep.load_vocabulary(artifacts / "vocabulary.json")
+    assert [words for _, words in calls] == [vocab.terms]
+
+
+def test_evaluate_keeps_vectors_of_topic_words_only(corpus_dir, tmp_path, monkeypatch):
+    calls = TestCompare._counting(monkeypatch, coherence, "load_word_vectors")
+    assert _evaluate(corpus_dir, tmp_path, tmp_path / "coherence.json") == cli.EXIT_OK
+    assert [words for _, words in calls] == [{f"topic0word{j:02d}" for j in range(3)}]
+
+
+def test_compare_rejects_a_bad_unscored_embedding_line_before_any_cell(
+    corpus_dir, artifacts, tmp_path, caplog
+):
+    # Past the first chunk of 64 lines, on a term no vocabulary holds.
+    lines = (corpus_dir / "embeddings.txt").read_text().splitlines()
+    dim = int(lines[0].split()[1])
+    lines += [f"unscored{i} {' '.join(['0'] * dim)}" for i in range(100)]
+    lines.append(f"unscored {' '.join(['x'] * dim)}")
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sweep"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, compare={"clusters": [2, 3]},
+                        paths={"embeddings": str(embeddings)})
+    assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert f"{embeddings}: line {len(lines)}: non-numeric value" in caplog.text
+    assert list(out.iterdir()) == []
+
+
 def test_readme_config_example_loads(tmp_path):
     examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert len(examples) == 1

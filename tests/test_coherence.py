@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,11 +114,28 @@ def _load_outcome(load, path, caplog):
     return result, [r.getMessage() for r in caplog.records]
 
 
-def assert_chunked_load_matches_reference(path, caplog):
+def _restricted(outcome, words):
+    """A loader outcome with its vectors restricted to words, in file order."""
+    result, logs = outcome
+    if not isinstance(result[0], int):  # an error is the same error
+        return outcome
+    dim, terms, bits = result
+    kept = [i for i, term in enumerate(terms) if term in words]
+    return (dim, [terms[i] for i in kept], [bits[i] for i in kept]), logs
+
+
+def assert_chunked_load_matches_reference(path, caplog, words=None):
+    """Every chunk size gives the reference's outcome, and a load of words
+    (by default every other term of the file) gives it restricted to them."""
     expected = _load_outcome(reference_load_word_vectors, path, caplog)
+    if words is None:
+        words = set(expected[0][1][::2]) if isinstance(expected[0][0], int) else set()
+    filtered = _restricted(expected, words)
     for chunk in (1, 2, 3, 64):
         with mock.patch.object(coherence, "VECTOR_CHUNK", chunk):
             assert _load_outcome(coherence.load_word_vectors, path, caplog) == expected, chunk
+            load = functools.partial(coherence.load_word_vectors, words=words)
+            assert _load_outcome(load, path, caplog) == filtered, chunk
     return expected[0]
 
 
@@ -161,6 +180,16 @@ def test_chunked_load_matches_line_loop(tmp_path, caplog, text):
     assert_chunked_load_matches_reference(path, caplog)
 
 
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=embedding_texts(), words=st.sets(st.sampled_from([*_TERMS, "w1", "zzz"])))
+@example(text=_with_line(_LONG, 66, "w2 9 9"), words={"w2", "w66"})  # a skipped duplicate
+def test_filtered_load_matches_line_loop(tmp_path, caplog, text, words):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_chunked_load_matches_reference(path, caplog, words)
+
+
 @pytest.mark.parametrize("text, error_line", [
     ("a 1_0 2\nb \u0661\u0662 3\n", None),
     ("a 1 2\nb 3 4\na 5 6\n", None),
@@ -197,6 +226,27 @@ def test_regular_chunks_skip_the_line_loop(tmp_path):
         store = coherence.load_word_vectors(path)
     assert list(store.vectors) == ["\u65e5\u672c", "\u00e4", "b"]
     assert all(v.base is not None for v in store.vectors.values())  # row views of one block
+
+
+def test_filtered_load_retains_the_kept_vectors_not_the_file(tmp_path):
+    # One requested term per 64-line chunk, over 40 chunks.
+    dim, chunks = 200, 40
+    rng = np.random.default_rng(0)
+    path = tmp_path / "vec.txt"
+    with open(path, "w") as fh:
+        for i in range(chunks * coherence.VECTOR_CHUNK):
+            fh.write(f"w{i} {' '.join(map(repr, rng.normal(size=dim).tolist()))}\n")
+    words = {f"w{i * coherence.VECTOR_CHUNK + 7}" for i in range(chunks)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = coherence.load_word_vectors(path, words)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sorted(store.vectors) == sorted(words)
+    kept = len(words) * dim * 8  # 64 kB, against 4.1 MB for the whole file
+    assert kept <= retained < 1.5 * kept
 
 
 class TestCosine:

@@ -574,3 +574,15 @@ class TestFcmFit:
         b = fcm.fcm_fit(X, cfg)
         np.testing.assert_array_equal(a.memberships, b.memberships)
         np.testing.assert_array_equal(a.centroids, b.centroids)
+
+
+def test_nan_fuzzifier_raises_instead_of_nan_memberships():
+    X = np.random.default_rng(0).normal(size=(30, 2))
+    with pytest.raises(InvalidFuzzifierError):
+        fcm.fcm_fit(X, fcm.FcmConfig(c=3, f=float("nan")))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
+def test_eps_must_be_finite_and_positive(eps):
+    with pytest.raises(ValueError, match="^eps must be finite and > 0$"):
+        fcm.FcmConfig(eps=eps)

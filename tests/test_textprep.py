@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 from unittest import mock
@@ -517,7 +518,10 @@ def _near_valid(draw, value):
 
 
 @pytest.mark.parametrize("load", [textprep.read_corpus_jsonl, coherence.load_word_vectors,
-                                  textprep.load_vocabulary, topics.load_topic_set])
+                                  textprep.load_vocabulary, topics.load_topic_set,
+                                  pytest.param(functools.partial(coherence.load_word_vectors,
+                                                                 words={"w"}),
+                                               id="load_word_vectors-filtered")])
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.text() | st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)
