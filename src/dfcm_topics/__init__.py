@@ -8,6 +8,7 @@ from .autoencoder import (
     encode,
     fine_tune,
     greedy_pretrain,
+    load_checkpoint,
 )
 from .coherence import CoherenceReport, WordVectorStore, evaluate, load_word_vectors, tc_w2v
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init

@@ -182,12 +182,6 @@ def _mse_and_grad(Y, target):
     return float(np.sum(diff**2) / n), 2.0 * diff / n
 
 
-def reconstruction_loss(model: AutoencoderModel, X) -> float:
-    """Full-data reconstruction MSE (dropout off)."""
-    loss, _ = _mse_and_grad(_infer(model.layers, X), _densify(X))
-    return loss
-
-
 class _Optimizer:
     """Adam-style adaptive moments or classical momentum SGD, in place.
 

@@ -36,8 +36,8 @@ def load_word_vectors(path, words=None) -> WordVectorStore:
     """Parse a text embedding file: optional `count dim` header, then
     one `term v1 ... v_dim` line per term. Duplicate terms keep the
     first occurrence. Every line is parsed and checked, but with `words`
-    given only their vectors are kept, copied out of their chunk's block;
-    without it the store holds row views of per-chunk blocks.
+    given only their vectors are kept. Kept vectors are copied out of
+    their chunk's block, so no block outlives its chunk.
     """
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every term of the file, kept or not
@@ -74,11 +74,8 @@ def _take_block(lines, dim, vectors, seen, words) -> bool:
     if block is None or block.shape != (len(terms), dim + 1) or not unique:
         return False
     seen.update(terms)
-    rows = block[:, 1:]
-    if words is not None:  # a fancy index copies, so the block is freed
-        kept = [i for i, term in enumerate(terms) if term in words]
-        terms, rows = [terms[i] for i in kept], rows[kept]
-    vectors.update(zip(terms, rows))
+    kept = [i for i, term in enumerate(terms) if words is None or term in words]
+    vectors.update(zip([terms[i] for i in kept], block[kept, 1:]))  # a copy: the block is freed
     return True
 
 

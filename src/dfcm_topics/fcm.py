@@ -180,7 +180,7 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
     coinciding with one or more centroids get their membership split
     uniformly over the coincident centroids.
     """
-    if f <= 1.0:
+    if not f > 1.0:
         raise InvalidFuzzifierError("fuzzification constant must be > 1")
     d = _sq_distances(X, Q)
     return _memberships(d, f, np.empty_like(d), np.empty(d.shape, order="F"))
@@ -209,6 +209,8 @@ def _memberships(d: np.ndarray, f: float, M: np.ndarray, work: np.ndarray) -> np
 
 def update_centroids(X: np.ndarray, M: np.ndarray, f: float) -> np.ndarray:
     """Centroid update for fixed memberships: weighted mean with weights m^f."""
+    if not f > 1.0:
+        raise InvalidFuzzifierError("fuzzification constant must be > 1")
     return _centroids(X, M**f)
 
 
@@ -221,6 +223,8 @@ def _centroids(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def objective(X: np.ndarray, M: np.ndarray, Q: np.ndarray, f: float) -> float:
     """Fuzzy within-cluster scatter J = sum_ik m_ik^f ||a_k - q_i||^2."""
+    if not f > 1.0:
+        raise InvalidFuzzifierError("fuzzification constant must be > 1")
     return float(np.sum(M**f * _sq_distances(X, Q)))
 
 

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, RankTooLargeError
 
@@ -28,18 +27,6 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry nonnegative (C-ordered copy)."""
     peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     return np.ascontiguousarray(np.where(peak < 0, -V, V))
-
-
-def dense_truncated_svd(D, p: int) -> TruncatedSvd:
-    """Exact dense decomposition: the test oracle for truncated_svd on small matrices."""
-    A = _as_operator(D)
-    if sp.issparse(A):
-        A = A.toarray()
-    A = np.asarray(A, dtype=np.float64)
-    if p > min(A.shape):
-        raise RankTooLargeError(f"rank {p} exceeds min{A.shape}")
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return TruncatedSvd(p, _fix_signs(Vt[:p].T), s[:p])
 
 
 def truncated_svd(D, p: int, seed: int = 0) -> TruncatedSvd:

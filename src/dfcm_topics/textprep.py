@@ -24,6 +24,7 @@ _REPEAT_RE = re.compile(r"([^\W\d_])\1{2,}", re.UNICODE)
 # A token (after any '#') that starts like a URL or an @user mention, to drop.
 _DROP_RE = re.compile(r"(?<!\S)#*(?:www\.|https?://|@)\S*")
 _HASHES_RE = re.compile(r"(?<!\S)#+")  # a token's leading '#'s
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # JSON can hold "\ud800" alone; UTF-8 cannot
 _STRIP_CHARS = string.punctuation + "‘’“”…"
 ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
 WRITE_CHUNK = 16384  # matrix lines formatted per write
@@ -69,10 +70,15 @@ class Vocabulary:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        terms = self.terms
+        terms, df = self.terms, self.doc_freq
         if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
                 and all(a < b for a, b in zip(terms, terms[1:]))):
             raise TypeError("terms must be unique strings in sorted order")
+        if any(map(_SURROGATE_RE.search, terms)):
+            raise TypeError("a term has a lone surrogate (not UTF-8)")
+        if not (isinstance(df, dict) and all(isinstance(t, str) for t in df)
+                and all(type(n) is int and n >= 0 for n in (*df.values(), self.threshold))):
+            raise TypeError("doc_freq must map strings to ints >= 0, and threshold be an int >= 0")
         self.index = {term: i for i, term in enumerate(terms)}
 
     def __len__(self):
@@ -184,7 +190,10 @@ def read_corpus_jsonl(path) -> list[dict]:
                 what = f"duplicate or empty document id {obj['id']!r}"
                 raise MalformedLineError.at(path, what, lineno)
             seen.add(doc_id)
-            docs.append({"id": doc_id, "text": str(obj["text"])})
+            text = str(obj["text"])
+            if not text.isascii() and _SURROGATE_RE.search(text):
+                raise MalformedLineError.at(path, "text has a lone surrogate (not UTF-8)", lineno)
+            docs.append({"id": doc_id, "text": text})
     return docs
 
 

@@ -57,6 +57,12 @@ class TopicSet:
     config: dict
     warnings: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        warnings = self.warnings
+        if not (self.method in METHODS and isinstance(self.config, dict)
+                and isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise TypeError(f"method must be in {METHODS}, config a dict, warnings a str list")
+
 
 class Representation(NamedTuple):
     codes: np.ndarray  # (n_docs, p)

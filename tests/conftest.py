@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dfcm_topics import textprep
+from dfcm_topics import autoencoder as ae
+from dfcm_topics import svd, textprep
+from dfcm_topics.errors import RankTooLargeError
+
+
+def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
+    """Exact dense decomposition: the test oracle for truncated_svd on small matrices."""
+    A = svd._as_operator(D)
+    if sp.issparse(A):
+        A = A.toarray()
+    A = np.asarray(A, dtype=np.float64)
+    if p > min(A.shape):
+        raise RankTooLargeError(f"rank {p} exceeds min{A.shape}")
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return svd.TruncatedSvd(p, svd._fix_signs(Vt[:p].T), s[:p])
+
+
+def reconstruction_loss(model: ae.AutoencoderModel, X) -> float:
+    """Full-data reconstruction MSE (dropout off)."""
+    loss, _ = ae._mse_and_grad(ae._infer(model.layers, X), ae._densify(X))
+    return loss
 
 
 def planted_corpus(seed, n_docs=300, n_sets=3, set_size=20, doc_len=15):

@@ -17,8 +17,10 @@ from dfcm_topics.fcm import FcmConfig
 
 from conftest import (
     blob_dataset,
+    dense_truncated_svd,
     planted_corpus,
     planted_matrix,
+    reconstruction_loss,
     topic_recovery,
     write_planted_embeddings,
 )
@@ -85,12 +87,12 @@ def test_criterion_5_autoencoder_overfit():
     X = rng.standard_normal((32, 50))
     start = time.perf_counter()
     model = ae.build_autoencoder(50, 5, seed=1)
-    loss0 = ae.reconstruction_loss(model, X)
+    loss0 = reconstruction_loss(model, X)
     ae.greedy_pretrain(X, model, TrainConfig(epochs=10, batch_size=256, seed=2))
     model, _ = ae.fine_tune(
         model=model, X=X, cfg=TrainConfig(epochs=500, batch_size=256, seed=2)
     )
-    loss1 = ae.reconstruction_loss(model, X)
+    loss1 = reconstruction_loss(model, X)
     elapsed = time.perf_counter() - start
     assert loss1 <= 0.1 * loss0
     for layer in model.layers:
@@ -108,7 +110,7 @@ def test_criterion_6_truncated_svd_oracle():
     start = time.perf_counter()
     randomized = svd.truncated_svd(A, 5, seed=1)
     elapsed = time.perf_counter() - start
-    oracle = svd.dense_truncated_svd(A, 5)
+    oracle = dense_truncated_svd(A, 5)
     rel = np.max(
         np.abs(randomized.singular_values - oracle.singular_values)
         / oracle.singular_values

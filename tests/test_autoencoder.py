@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dfcm_topics import autoencoder as ae
 from dfcm_topics.errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
 
+from conftest import reconstruction_loss
+
 
 def backprop_gradients(model, batch):
     """Exact MSE-loss gradients for every weight and bias, encoder first."""
@@ -31,9 +33,9 @@ def finite_difference_check(model, batch, rng, samples_per_layer=10, step=1e-5):
             j = rng.integers(layer.weights.shape[1])
             orig = layer.weights[i, j]
             layer.weights[i, j] = orig + step
-            lp = ae.reconstruction_loss(model, batch)
+            lp = reconstruction_loss(model, batch)
             layer.weights[i, j] = orig - step
-            lm = ae.reconstruction_loss(model, batch)
+            lm = reconstruction_loss(model, batch)
             layer.weights[i, j] = orig
             fd = (lp - lm) / (2 * step)
             analytic = grads[li][0][i, j]
@@ -278,7 +280,7 @@ class TestTraining:
             np.random.default_rng(2),
         )
         pair = ae.AutoencoderModel([enc], [dec])
-        assert ae.reconstruction_loss(pair, H) < 1e-4
+        assert reconstruction_loss(pair, H) < 1e-4
         assert H_next.shape == (32, 8)
 
     def test_greedy_pretrain_uses_clean_activations(self):
@@ -345,10 +347,10 @@ class TestTraining:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(32, 20))
         model = ae.build_autoencoder(20, 4, seed=1, hidden_dims=(32, 16))
-        loss0 = ae.reconstruction_loss(model, X)
+        loss0 = reconstruction_loss(model, X)
         cfg = ae.TrainConfig(epochs=500, batch_size=32, learning_rate=3e-3, seed=2)
         _, trace = ae.fine_tune(X, model, cfg)
-        assert ae.reconstruction_loss(model, X) <= 0.1 * loss0
+        assert reconstruction_loss(model, X) <= 0.1 * loss0
         assert len(trace) == 500
 
     def test_full_batch_descent(self):

@@ -775,6 +775,61 @@ def test_non_finite_json_number_is_a_data_error(corpus_dir, artifacts, tmp_path,
     assert f"{path}: invalid JSON (non-finite number {constant})" in caplog.text
 
 
+def test_lone_surrogate_in_corpus_text_is_a_data_error(tmp_path, caplog):
+    # json.dumps writes the lone surrogate as the JSON escape \ud800, which json.loads reads back.
+    corpus = tmp_path / "corpus.jsonl"
+    lines = [json.dumps({"id": i, "text": "word \ud800"}) + "\n" for i in range(12)]
+    corpus.write_text("".join(lines))
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus), "--out-dir", str(out)]) == cli.EXIT_DATA
+    assert f"{corpus}: line 1: text has a lone surrogate" in caplog.text
+    assert not (out / "vocabulary.json").exists()
+
+
+def test_lone_surrogate_vocabulary_term_is_a_data_error(artifacts, tmp_path, caplog):
+    vocab = json.loads((artifacts / "vocabulary.json").read_text())
+    vocab["terms"][-1] = "\ud800"  # sorts after every ASCII term
+    path = tmp_path / "vocabulary.json"
+    path.write_text(json.dumps(vocab))
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, paths={"vocabulary": str(path)})
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert f"{path}: malformed content (a term has a lone surrogate" in caplog.text
+    assert not (out / "topics.json").exists()
+
+
+@pytest.mark.parametrize("bad, fields", [
+    ("vocabulary", {"doc_freq": None}),
+    ("vocabulary", {"doc_freq": {"zz": -3}}),
+    ("vocabulary", {"doc_freq": {"zz": True}}),
+    ("vocabulary", {"threshold": "x"}),
+    ("vocabulary", {"threshold": -1}),
+    ("topics", {"method": 5}),
+    ("topics", {"method": "kmeans"}),
+    ("topics", {"config": []}),
+    ("topics", {"warnings": 7}),
+    ("topics", {"warnings": [7]}),
+], ids=["doc-freq-null", "doc-freq-negative", "doc-freq-bool", "threshold-string",
+        "threshold-negative", "method-int", "method-unknown", "config-list", "warnings-int",
+        "warnings-ints"])
+def test_loaded_fields_outside_their_domain_are_data_errors(corpus_dir, artifacts, tmp_path,
+                                                           bad, fields):
+    path = tmp_path / f"{bad}.json"
+    if bad == "vocabulary":
+        payload = json.loads((artifacts / "vocabulary.json").read_text())
+        cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                            paths={"vocabulary": str(path)})
+        load, argv = textprep.load_vocabulary, ["detect", "--config", cfg, "--seed", "1"]
+    else:
+        payload = json.loads(_topics_text())
+        load = topics.load_topic_set
+        argv = ["evaluate", "--topics", path, "--embeddings", corpus_dir / "embeddings.txt"]
+    path.write_text(json.dumps({**payload, **fields}))
+    with pytest.raises(MalformedLineError, match=f"^{re.escape(str(path))}: malformed content"):
+        load(path)
+    assert main([str(arg) for arg in argv]) == cli.EXIT_DATA
+
+
 def test_compare_keeps_vectors_of_vocabulary_terms_only(corpus_dir, artifacts, tmp_path,
                                                         monkeypatch):
     calls = TestCompare._counting(monkeypatch, coherence, "load_word_vectors")

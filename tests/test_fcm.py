@@ -582,6 +582,17 @@ def test_nan_fuzzifier_raises_instead_of_nan_memberships():
         fcm.fcm_fit(X, fcm.FcmConfig(c=3, f=float("nan")))
 
 
+@pytest.mark.parametrize("f", [float("nan"), 1.0, 0.5])
+@pytest.mark.parametrize("update", ["update_memberships", "update_centroids", "objective"])
+def test_reference_updates_take_the_configs_fuzzifier_domain(update, f):
+    X, Q, M = np.zeros((3, 1)), np.array([[0.0], [1.0]]), np.full((2, 3), 0.5)
+    args = {"update_memberships": (X, Q), "update_centroids": (X, M), "objective": (X, M, Q)}
+    with pytest.raises(InvalidFuzzifierError):
+        getattr(fcm, update)(*args[update], f)
+    with pytest.raises(InvalidFuzzifierError):
+        fcm.FcmConfig(f=f)
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
 def test_eps_must_be_finite_and_positive(eps):
     with pytest.raises(ValueError, match="^eps must be finite and > 0$"):

@@ -5,6 +5,8 @@ import scipy.sparse as sp
 from dfcm_topics import svd
 from dfcm_topics.errors import DimensionMismatchError, RankTooLargeError
 
+from conftest import dense_truncated_svd
+
 
 class TestTruncatedSvd:
     def test_diagonal_matrix(self):
@@ -24,7 +26,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((30, 20))
         randomized = svd.truncated_svd(A, 5, seed=1)
-        oracle = svd.dense_truncated_svd(A, 5)
+        oracle = dense_truncated_svd(A, 5)
         np.testing.assert_allclose(
             randomized.singular_values, oracle.singular_values, rtol=1e-6
         )
@@ -40,7 +42,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(5)
         A = sp.random(50, 30, density=0.2, random_state=5, format="csr")
         result = svd.truncated_svd(A, 4, seed=0)
-        oracle = svd.dense_truncated_svd(A.toarray(), 4)
+        oracle = dense_truncated_svd(A.toarray(), 4)
         np.testing.assert_allclose(
             result.singular_values, oracle.singular_values, rtol=1e-6
         )
@@ -67,7 +69,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(8)
         D = rng.standard_normal((12, 9))
         p = 3
-        result = svd.dense_truncated_svd(D, p)
+        result = dense_truncated_svd(D, p)
         V = result.right_vectors
         ours = np.linalg.norm(D - D @ V @ V.T)
         for _ in range(100):
