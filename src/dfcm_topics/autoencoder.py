@@ -65,11 +65,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     dropout_rate: float = 0.2
     seed: int = 0
-    optimizer: str = "adaptive_moments"  # or "sgd_momentum"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stabilizer: float = 1e-8
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -78,13 +73,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.learning_rate < float("inf"):  # written so that NaN fails
             raise ValueError("learning_rate must be finite and > 0")
-        for name in ("dropout_rate", "beta1", "beta2", "momentum"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.stabilizer > 0:
-            raise ValueError("stabilizer must be > 0")
-        if self.optimizer not in ("adaptive_moments", "sgd_momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 def _glorot_uniform(out_dim, in_dim, rng):
@@ -182,19 +172,23 @@ def _mse_and_grad(Y, target):
     return float(np.sum(diff**2) / n), 2.0 * diff / n
 
 
+# Adam's published constants (Kingma & Ba, arXiv:1412.6980).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class _Optimizer:
-    """Adam-style adaptive moments or classical momentum SGD, in place.
+    """Adam, in place.
 
     Copies the layers' weights and biases into one flat vector, params, and
-    rebinds each layer's arrays to views of it. grad, m and v (v only for
-    adaptive moments) are flat vectors of the same length; grads holds the
-    per-layer (dW, db) views of grad that _backward fills.
+    rebinds each layer's arrays to views of it. grad, m and v are flat
+    vectors of the same length; grads holds the per-layer (dW, db) views of
+    grad that _backward fills.
     """
 
     BLOCK = 1 << 15  # elements per step block: two float64 scratch blocks fit a 2 MB L2
 
     def __init__(self, layers, cfg: TrainConfig):
-        self.cfg = cfg
+        self.learning_rate = cfg.learning_rate
         self.t = 0
         arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
         self.params = np.concatenate([a.ravel() for a in arrays])
@@ -209,36 +203,28 @@ class _Optimizer:
             layer.weights, layer.bias = W, b
         self.grads = layer_views(self.grad)
         self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params) if cfg.optimizer == "adaptive_moments" else None
+        self.v = np.zeros_like(self.params)
         self._scratch = np.empty((2, min(self.params.size, self.BLOCK)))
 
     def step(self):
         """One update from grad, block by block; bit-identical to a per-array update."""
-        cfg = self.cfg
         self.t += 1
         for start in range(0, self.params.size, self.BLOCK):
             block = slice(start, start + self.BLOCK)
-            p, g, m = self.params[block], self.grad[block], self.m[block]
+            p, g, m, v = self.params[block], self.grad[block], self.m[block], self.v[block]
             s1, s2 = self._scratch[:, : p.size]
-            if self.v is None:
-                m *= cfg.momentum
-                np.multiply(g, cfg.learning_rate, out=s1)
-                m -= s1
-                p += m
-                continue
-            v = self.v[block]
-            m *= cfg.beta1
-            np.multiply(g, 1.0 - cfg.beta1, out=s1)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=s1)
             m += s1
-            v *= cfg.beta2
+            v *= BETA2
             np.multiply(g, g, out=s1)
-            s1 *= 1.0 - cfg.beta2
+            s1 *= 1.0 - BETA2
             v += s1
-            np.divide(v, 1.0 - cfg.beta2**self.t, out=s1)
+            np.divide(v, 1.0 - BETA2**self.t, out=s1)
             np.sqrt(s1, out=s1)
-            s1 += cfg.stabilizer
-            np.divide(m, 1.0 - cfg.beta1**self.t, out=s2)
-            s2 *= cfg.learning_rate
+            s1 += EPSILON
+            np.divide(m, 1.0 - BETA1**self.t, out=s2)
+            s2 *= self.learning_rate
             s2 /= s1
             p -= s2
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -80,8 +81,13 @@ def load_run_config(path) -> dict:
             hint = " (the seed is set only by --seed)" if "seed" in unknown else ""
             raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}{hint}")
     for key, value in sections["paths"].items():
-        if not (isinstance(value, str) and value):
-            raise ConfigError(f"config.paths.{key} must be a non-empty string, got {value!r}")
+        try:  # os.fsencode rejects a lone surrogate such as "\ud800"
+            valid = isinstance(value, str) and value and b"\0" not in os.fsencode(value)
+        except UnicodeEncodeError:
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"config.paths.{key} must be a non-empty string naming a file, got {value!r}")
     cfg = {"paths": dict(sections["paths"]), "compare": dict(sections["compare"])}
     for key, (section, f) in _FIELDS.items():
         value = sections[section].get(key, f.default)

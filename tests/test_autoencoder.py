@@ -45,23 +45,15 @@ def finite_difference_check(model, batch, rng, samples_per_layer=10, step=1e-5):
 
 
 def reference_step(params, grads, moments, cfg, t):
-    """Per-array Adam or momentum-SGD update, the oracle for _Optimizer.step.
-
-    moments[k] is (m, v) of params[k]; v is None for momentum SGD.
-    """
+    """Per-array Adam update, the oracle for _Optimizer.step; moments[k] is (m, v) of params[k]."""
     for param, grad, (m, v) in zip(params, grads, moments):
-        if v is None:
-            m *= cfg.momentum
-            m -= cfg.learning_rate * grad
-            param += m
-            continue
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad**2
-        mhat = m / (1.0 - cfg.beta1**t)
-        vhat = v / (1.0 - cfg.beta2**t)
-        param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.stabilizer)
+        m *= ae.BETA1
+        m += (1.0 - ae.BETA1) * grad
+        v *= ae.BETA2
+        v += (1.0 - ae.BETA2) * grad**2
+        mhat = m / (1.0 - ae.BETA1**t)
+        vhat = v / (1.0 - ae.BETA2**t)
+        param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ae.EPSILON)
 
 
 def reference_forward(layers, X, drop_masks=None):
@@ -223,17 +215,15 @@ class TestOptimizer:
     # 58 parameters fit in one step block; 58,740 span two blocks, the
     # second one partial.
     @pytest.mark.parametrize("dims", [(7, 5, 3), (300, 150, 90)])
-    @pytest.mark.parametrize("optimizer", ["adaptive_moments", "sgd_momentum"])
-    def test_flat_step_matches_per_array_update(self, dims, optimizer):
+    def test_flat_step_matches_per_array_update(self, dims):
         rng = np.random.default_rng(0)
         layers = [
             ae.DenseLayer(rng.normal(size=(o, i)), rng.normal(size=o), "relu")
             for i, o in zip(dims, dims[1:])
         ]
         params = [a.copy() for layer in layers for a in (layer.weights, layer.bias)]
-        adaptive = optimizer == "adaptive_moments"
-        moments = [(np.zeros_like(p), np.zeros_like(p) if adaptive else None) for p in params]
-        cfg = ae.TrainConfig(optimizer=optimizer, learning_rate=1e-2, momentum=0.5)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        cfg = ae.TrainConfig(learning_rate=1e-2)
         opt = ae._Optimizer(layers, cfg)
         assert opt.params.size % opt.BLOCK != 0
         for t in range(1, 5):
@@ -245,10 +235,7 @@ class TestOptimizer:
         assert np.array_equal(opt.params, _flat(params))
         assert np.array_equal(_flat(a for l in layers for a in (l.weights, l.bias)), _flat(params))
         assert np.array_equal(opt.m, _flat(m for m, _ in moments))
-        if adaptive:
-            assert np.array_equal(opt.v, _flat(v for _, v in moments))
-        else:
-            assert opt.v is None
+        assert np.array_equal(opt.v, _flat(v for _, v in moments))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -257,10 +244,7 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("field, value, named", [
     ("learning_rate", NAN, "learning_rate"), ("learning_rate", INF, "learning_rate"),
     ("learning_rate", 0.0, "learning_rate"), ("learning_rate", -1.0, "learning_rate"),
-    ("beta1", NAN, "beta1"), ("beta1", 1.0, "beta1"), ("beta2", -0.1, "beta2"),
-    ("momentum", NAN, "momentum"), ("momentum", -5.0, "momentum"),
-    ("dropout_rate", NAN, "dropout_rate"),
-    ("stabilizer", NAN, "stabilizer"), ("stabilizer", 0.0, "stabilizer"),
+    ("dropout_rate", NAN, "dropout_rate"), ("dropout_rate", 1.0, "dropout_rate"),
 ])
 def test_train_config_rejects_values_outside_their_domain(field, value, named):
     with pytest.raises(ValueError, match=f"^{named} must be "):
@@ -352,18 +336,6 @@ class TestTraining:
         _, trace = ae.fine_tune(X, model, cfg)
         assert reconstruction_loss(model, X) <= 0.1 * loss0
         assert len(trace) == 500
-
-    def test_full_batch_descent(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(32, 10))
-        model = ae.build_autoencoder(10, 3, seed=2, hidden_dims=(6,))
-        cfg = ae.TrainConfig(
-            epochs=100, batch_size=32, learning_rate=1e-4,
-            optimizer="sgd_momentum", momentum=0.0, seed=0,
-        )
-        _, trace = ae.fine_tune(X, model, cfg)
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur <= prev + 1e-12 * abs(prev)
 
     def test_training_determinism(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -324,9 +325,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
     ({"fcm": []}, "config.fcm"),
     ({"train": {"epochs": 1.5}}, "train.epochs"),
     ({"fcm": {"max_iter": 2.5}}, "fcm.max_iter"),
-    ({"train": {"optimizer": "bogus"}}, "optimizer"),  # an EFCM run
+    ({"train": {"optimizer": "adaptive_moments"}}, "optimizer"),  # removed, even at its default
     ({"fcm": {"fuzzifier": 1.0}}, "fuzzification"),
     ({"fcm": {"init_runs": 0}}, "init_runs"),
+    ({"train": {"dropout_rate": 1.0}}, "dropout_rate"),  # an EFCM run checks train too
+    ({"train": {"beta1": 0.9}}, "beta1"),
+    ({"train": {"beta2": 0.999}}, "beta2"),
+    ({"train": {"stabilizer": 1e-8}}, "stabilizer"),
+    ({"train": {"momentum": 0.9}}, "momentum"),
 ])
 def test_malformed_config_value_is_a_config_error(artifacts, tmp_path, caplog, overrides, named):
     out = tmp_path / "run"
@@ -353,20 +359,23 @@ def test_seed_in_config_rejected_in_favour_of_flag(artifacts, tmp_path, caplog):
 
 def test_json_only_train_fields_have_flags(artifacts, tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(
-        tmp_path / "cfg.json", artifacts, out, method="dfcm", train={"epochs": 1}
-    )
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, method="dfcm")
     rc = main([
-        "detect", "--config", str(cfg), "--seed", "1",
-        "--optimizer", "sgd_momentum", "--beta1", "0.8", "--beta2", "0.99",
-        "--stabilizer", "1e-6", "--momentum", "0.5",
+        "detect", "--config", str(cfg), "--seed", "1", "--epochs", "1",
+        "--batch-size", "128", "--learning-rate", "0.002", "--dropout", "0.1",
     ])
     assert rc == 0
     train = json.loads((out / "topics.json").read_text())["config"]["train"]
-    assert train["optimizer"] == "sgd_momentum"
-    assert (train["beta1"], train["beta2"], train["stabilizer"], train["momentum"]) == (
-        0.8, 0.99, 1e-6, 0.5
-    )
+    assert train == {"epochs": 1, "batch_size": 128, "learning_rate": 0.002,
+                     "dropout_rate": 0.1, "seed": stage_seed(1, "train")}
+
+
+def test_removed_optimizer_flags_are_rejected(capsys):
+    for flag in ("--optimizer", "--beta1", "--beta2", "--stabilizer", "--momentum"):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--config", "run.json", "--seed", "1", flag, "0.5"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("compare", [
@@ -397,8 +406,8 @@ def test_compare_section_checked_before_inputs_are_read(tmp_path, compare):
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
 @pytest.mark.parametrize("key", ["vocabulary", "out_dir"])
-@pytest.mark.parametrize("value", [1, True, [], {}, ""],
-                         ids=["int", "true", "list", "object", "empty"])
+@pytest.mark.parametrize("value", [1, True, [], {}, "", "x\ud800", "x\0"],
+                         ids=["int", "true", "list", "object", "empty", "lone-surrogate", "nul"])
 def test_paths_must_be_non_empty_strings(artifacts, tmp_path, caplog, command, key, value):
     # 1 as a path would open, then close, the process's stdout.
     out = tmp_path / "run"
@@ -406,6 +415,14 @@ def test_paths_must_be_non_empty_strings(artifacts, tmp_path, caplog, command, k
     assert main([command, "--config", str(cfg), "--seed", "1"]) == cli.EXIT_CONFIG
     assert f"config.paths.{key} must be a non-empty string" in caplog.text
     assert not out.exists()
+
+
+def test_surrogate_escaped_path_byte_is_accepted(artifacts, tmp_path):
+    # "\udcff" is how Python spells the file-name byte 0xff it cannot decode.
+    out = f"{tmp_path / 'run'}\udcff"
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out)
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+    assert os.path.isfile(os.fsencode(out) + b"/topics.json")
 
 
 @pytest.mark.parametrize("command, missing", [
@@ -742,8 +759,7 @@ def test_non_finite_config_number_is_a_config_error(artifacts, tmp_path, caplog,
 @pytest.mark.parametrize("flag, value, named", [
     ("--fuzzifier", "nan", "fuzzification"), ("--eps", "inf", "eps"),
     ("--learning-rate", "-1.0", "learning_rate"), ("--learning-rate", "nan", "learning_rate"),
-    ("--beta1", "1.0", "beta1"), ("--beta2", "nan", "beta2"),
-    ("--momentum", "-5.0", "momentum"), ("--stabilizer", "nan", "stabilizer"),
+    ("--dropout", "1.0", "dropout_rate"), ("--dropout", "nan", "dropout_rate"),
 ])
 def test_config_value_outside_its_domain_is_a_config_error(artifacts, tmp_path, caplog,
                                                            flag, value, named):
@@ -886,18 +902,21 @@ def test_detect_help_lists_one_flag_per_config_field(capsys):
         for f in dataclasses.fields(cls)
         if f.name not in {"seed", *skip}
     ]
-    assert len(settable) == 17
+    assert len(settable) == 12
     other = {"--config", "--seed", "--matrix", "--vocabulary", "--out-dir"}
     assert other <= flags
     assert len(flags - other) == len(settable)
     readme = README.read_text()
-    overrides = sorted(flags - {"--config", "--seed"})
-    assert [flag for flag in overrides if f"`{flag}`" not in readme] == []
+    flag_list = re.search(r"derived from the dataclass fields:\n\n(.*?)\n\n", readme, re.S)[1]
+    listed = set(re.findall(r"`(--[a-z0-9-]+)`", flag_list))
+    overrides = flags - {"--config", "--seed"}
+    assert sorted(overrides - listed) == []  # every override flag is in README's list
+    assert sorted(listed - overrides) == []  # and README lists no flag the parser lacks
 
 
 _CONFIG_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 50) | st.integers() | st.floats()
-    | st.sampled_from(["dfcm", "efcm", "sgd_momentum", "x", ""]),
+    | st.sampled_from(["dfcm", "efcm", "x", ""]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=2),
     max_leaves=6,
@@ -920,6 +939,11 @@ def test_run_config_loader_returns_or_raises_config_error(tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     try:
-        cli.load_run_config(path)
+        cfg = cli.load_run_config(path)
     except ConfigError:
-        pass
+        return
+    floats = [key for key, (_, f) in cli._FIELDS.items() if f.type is float]
+    assert sorted(floats) == ["dropout_rate", "eps", "fuzzifier", "learning_rate"]
+    assert all(math.isfinite(cfg[key]) for key in floats)
+    assert cfg["fuzzifier"] > 1 and cfg["eps"] > 0 and cfg["learning_rate"] > 0
+    assert 0 <= cfg["dropout_rate"] < 1
