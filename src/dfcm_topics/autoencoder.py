@@ -172,39 +172,50 @@ def _mse_and_grad(Y, target):
     return float(np.sum(diff**2) / n), 2.0 * diff / n
 
 
-# Adam's published constants (Kingma & Ba, arXiv:1412.6980).
+# Adam's published constants (Kingma & Ba, arXiv:1412.6980). Training runs in
+# TRAIN_DTYPE; outside _train the layers hold float64 copies of its values.
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+TRAIN_DTYPE = np.float32
 
 
 class _Optimizer:
     """Adam, in place.
 
-    Copies the layers' weights and biases into one flat vector, params, and
-    rebinds each layer's arrays to views of it. grad, m and v are flat
-    vectors of the same length; grads holds the per-layer (dW, db) views of
-    grad that _backward fills.
+    Copies the layers' weights and biases into one flat TRAIN_DTYPE vector,
+    params, and rebinds each layer's arrays to views of it. grad, m and v are
+    flat vectors of the same length; grads holds the per-layer (dW, db) views
+    of grad that _backward fills.
     """
 
-    BLOCK = 1 << 15  # elements per step block: two float64 scratch blocks fit a 2 MB L2
+    BLOCK = 1 << 15  # elements per step block: the two scratch blocks stay in a 2 MB L2
 
     def __init__(self, layers, cfg: TrainConfig):
         self.learning_rate = cfg.learning_rate
         self.t = 0
+        self.layers = layers
         arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
-        self.params = np.concatenate([a.ravel() for a in arrays])
+        self._shapes = [a.shape for a in arrays]
+        self._cuts = np.cumsum([a.size for a in arrays])[:-1]
+        self.params = np.concatenate([a.ravel() for a in arrays], dtype=TRAIN_DTYPE)
         self.grad = np.zeros_like(self.params)
-        cuts = np.cumsum([a.size for a in arrays])[:-1]
-
-        def layer_views(flat):  # per-layer (weights, bias)-shaped views of flat
-            views = iter([v.reshape(a.shape) for v, a in zip(np.split(flat, cuts), arrays)])
-            return list(zip(views, views))
-
-        for layer, (W, b) in zip(layers, layer_views(self.params)):
-            layer.weights, layer.bias = W, b
-        self.grads = layer_views(self.grad)
+        self._bind(self.params)
+        self.grads = self._layer_views(self.grad)
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
-        self._scratch = np.empty((2, min(self.params.size, self.BLOCK)))
+        self._scratch = np.empty((2, min(self.params.size, self.BLOCK)), dtype=TRAIN_DTYPE)
+
+    def _layer_views(self, flat):
+        """Per-layer (weights, bias)-shaped views of flat."""
+        views = iter([v.reshape(s) for v, s in zip(np.split(flat, self._cuts), self._shapes)])
+        return list(zip(views, views))
+
+    def _bind(self, flat):
+        for layer, (W, b) in zip(self.layers, self._layer_views(flat)):
+            layer.weights, layer.bias = W, b
+
+    def widen(self):
+        """Rebind the layers to views of a float64 copy of params, which holds them exactly."""
+        self._bind(self.params.astype(np.float64))
 
     def step(self):
         """One update from grad, block by block; bit-identical to a per-array update."""
@@ -229,15 +240,16 @@ class _Optimizer:
             p -= s2
 
 
-def _densify(X):
+def _densify(X, dtype=np.float64):
     if sp.issparse(X):
-        return np.asarray(X.toarray(), dtype=np.float64)
-    return np.asarray(X, dtype=np.float64)
+        X = X.toarray()
+    return np.asarray(X, dtype=dtype)
 
 
 def _dropout_mask(shape, rate, rng):
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    mask = (rng.random(shape) >= rate).astype(TRAIN_DTYPE)
+    mask /= 1.0 - rate  # in place, so the Python float cannot widen the mask
+    return mask
 
 
 def _pair_masks(x, pair, rate, rng):
@@ -252,7 +264,8 @@ def _train(layers, X, cfg, rng, rate):
     """Minibatch training loop shared by pretraining and fine-tuning.
 
     Above rate 0, layers is a denoising pair and every batch is corrupted
-    by _pair_masks. Returns the per-epoch mean minibatch loss trace.
+    by _pair_masks. Trains in TRAIN_DTYPE, then leaves the layers as float64
+    views of one flat vector. Returns the per-epoch mean minibatch loss trace.
     """
     n = X.shape[0]
     opt = _Optimizer(layers, cfg)
@@ -261,7 +274,7 @@ def _train(layers, X, cfg, rng, rate):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
-            batch = _densify(X[order[start : start + cfg.batch_size]])
+            batch = _densify(X[order[start : start + cfg.batch_size]], TRAIN_DTYPE)
             masks = _pair_masks(batch, layers, rate, rng)
             Y, caches = _forward(layers, batch, masks)
             loss, dOut = _mse_and_grad(Y, batch)
@@ -271,6 +284,7 @@ def _train(layers, X, cfg, rng, rate):
             opt.step()
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
+    opt.widen()
     return trace
 
 

@@ -18,7 +18,7 @@ class TooFewPointsError(DfcmError):
 
 
 class InvalidFuzzifierError(DfcmError):
-    """Fuzzification constant must be > 1."""
+    """Fuzzification constant must be finite and > 1."""
 
 
 class EmptyClusterError(DfcmError):

@@ -21,6 +21,11 @@ KMEANS_MAX_ITER = 300
 EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
+def _check_fuzzifier(f):
+    if not 1.0 < f < float("inf"):  # written so that NaN fails
+        raise InvalidFuzzifierError("fuzzification constant must be finite and > 1")
+
+
 @dataclass
 class FcmConfig:
     c: int = 10
@@ -33,8 +38,7 @@ class FcmConfig:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("cluster count must be >= 1")
-        if not self.f > 1.0:  # written so that NaN fails
-            raise InvalidFuzzifierError("fuzzification constant must be > 1")
+        _check_fuzzifier(self.f)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0 < self.eps < float("inf"):
@@ -180,8 +184,7 @@ def update_memberships(X: np.ndarray, Q: np.ndarray, f: float) -> np.ndarray:
     coinciding with one or more centroids get their membership split
     uniformly over the coincident centroids.
     """
-    if not f > 1.0:
-        raise InvalidFuzzifierError("fuzzification constant must be > 1")
+    _check_fuzzifier(f)
     d = _sq_distances(X, Q)
     return _memberships(d, f, np.empty_like(d), np.empty(d.shape, order="F"))
 
@@ -209,8 +212,7 @@ def _memberships(d: np.ndarray, f: float, M: np.ndarray, work: np.ndarray) -> np
 
 def update_centroids(X: np.ndarray, M: np.ndarray, f: float) -> np.ndarray:
     """Centroid update for fixed memberships: weighted mean with weights m^f."""
-    if not f > 1.0:
-        raise InvalidFuzzifierError("fuzzification constant must be > 1")
+    _check_fuzzifier(f)
     return _centroids(X, M**f)
 
 
@@ -223,8 +225,7 @@ def _centroids(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def objective(X: np.ndarray, M: np.ndarray, Q: np.ndarray, f: float) -> float:
     """Fuzzy within-cluster scatter J = sum_ik m_ik^f ||a_k - q_i||^2."""
-    if not f > 1.0:
-        raise InvalidFuzzifierError("fuzzification constant must be > 1")
+    _check_fuzzifier(f)
     return float(np.sum(M**f * _sq_distances(X, Q)))
 
 

@@ -221,13 +221,13 @@ class TestOptimizer:
             ae.DenseLayer(rng.normal(size=(o, i)), rng.normal(size=o), "relu")
             for i, o in zip(dims, dims[1:])
         ]
-        params = [a.copy() for layer in layers for a in (layer.weights, layer.bias)]
+        params = [a.astype(ae.TRAIN_DTYPE) for layer in layers for a in (layer.weights, layer.bias)]
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         cfg = ae.TrainConfig(learning_rate=1e-2)
         opt = ae._Optimizer(layers, cfg)
         assert opt.params.size % opt.BLOCK != 0
         for t in range(1, 5):
-            grads = [rng.normal(size=p.shape) for p in params]
+            grads = [rng.normal(size=p.shape).astype(ae.TRAIN_DTYPE) for p in params]
             for view, grad in zip(chain.from_iterable(opt.grads), grads):
                 view[...] = grad
             opt.step()
@@ -236,6 +236,63 @@ class TestOptimizer:
         assert np.array_equal(_flat(a for l in layers for a in (l.weights, l.bias)), _flat(params))
         assert np.array_equal(opt.m, _flat(m for m, _ in moments))
         assert np.array_equal(opt.v, _flat(v for _, v in moments))
+
+
+class TestTrainDtype:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_training_runs_in_train_dtype_and_leaves_float64_layers(self, monkeypatch, sparse):
+        """Every training array is TRAIN_DTYPE; inference and the trained layers are float64."""
+        X = np.random.default_rng(0).normal(size=(20, 12))
+        if sparse:
+            X = sp.random(20, 12, density=0.5, random_state=0, format="csr")
+        real_forward, real_backward, real_infer = ae._forward, ae._backward, ae._infer
+        real_step = ae._Optimizer.step
+        seen = {"train": [], "infer": [], "masks": 0}
+        inferring = []
+
+        def forward(layers, batch, drop_masks=None):
+            Y, caches = real_forward(layers, batch, drop_masks)
+            seen["infer" if inferring else "train"].extend(
+                [batch, Y, *chain.from_iterable(caches),
+                 *(a for layer in layers for a in (layer.weights, layer.bias))])
+            if drop_masks is not None:
+                seen["train"].extend(drop_masks)
+                seen["masks"] += len(drop_masks)
+            return Y, caches
+
+        def backward(layers, caches, dOut, grads, drop_masks=None):
+            seen["train"].append(dOut)
+            real_backward(layers, caches, dOut, grads, drop_masks)
+            seen["train"].extend(chain.from_iterable(grads))
+
+        def step(opt):
+            seen["train"].extend([opt.params, opt.grad, opt.m, opt.v, opt._scratch])
+            real_step(opt)
+
+        def infer(layers, H):
+            inferring.append(True)
+            try:
+                return real_infer(layers, H)
+            finally:
+                inferring.pop()
+
+        monkeypatch.setattr(ae, "_forward", forward)
+        monkeypatch.setattr(ae, "_backward", backward)
+        monkeypatch.setattr(ae, "_infer", infer)
+        monkeypatch.setattr(ae._Optimizer, "step", step)
+        model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+        cfg = ae.TrainConfig(epochs=2, batch_size=8, dropout_rate=0.2, seed=4)
+        _, _, H_next = ae.pretrain_layer(
+            X, model.encoder_layers[0], model.decoder_layers[-1], cfg, np.random.default_rng(4)
+        )
+        ae.fine_tune(X, model, cfg)
+        assert seen["masks"] == 2 * 2 * 3  # a pair of masks per batch, 3 batches per epoch
+        assert seen["infer"] and all(a.dtype == np.float64 for a in seen["infer"])
+        assert all(a.dtype == ae.TRAIN_DTYPE for a in seen["train"])
+        assert H_next.dtype == np.float64
+        for a in (a for layer in model.layers for a in (layer.weights, layer.bias)):
+            assert a.dtype == np.float64
+            assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
 
 
 NAN, INF = float("nan"), float("inf")

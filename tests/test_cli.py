@@ -769,6 +769,24 @@ def test_config_value_outside_its_domain_is_a_config_error(artifacts, tmp_path, 
     assert f"invalid config: {named}" in caplog.text
 
 
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_infinite_fuzzifier_is_a_config_error_before_any_input_is_read(artifacts, tmp_path,
+                                                                       caplog, how):
+    # JSON reads the overflowing literal 1e999 as inf without calling parse_constant.
+    out, matrix = tmp_path / "run", tmp_path / "matrix.txt"
+    matrix.write_text("not a matrix\n")  # reading it would exit 2
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, paths={"matrix": str(matrix)})
+    argv = ["detect", "--config", str(cfg), "--seed", "1"]
+    if how == "config":
+        cfg.write_text(cfg.read_text().replace('"fuzzifier": 1.1', '"fuzzifier": 1e999'))
+        assert "1e999" in cfg.read_text()
+    else:
+        argv += ["--fuzzifier", "inf"]
+    assert main(argv) == cli.EXIT_CONFIG
+    assert "invalid config: fuzzification constant must be finite and > 1" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["vocabulary", "topics"])
 def test_non_finite_json_number_is_a_data_error(corpus_dir, artifacts, tmp_path, caplog, bad):
     path = tmp_path / f"bad-{bad}"
@@ -937,7 +955,9 @@ def _config_section(keys):
 }) | _CONFIG_VALUES)
 def test_run_config_loader_returns_or_raises_config_error(tmp_path, config):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    # json.dumps spells infinity Infinity, which parse_constant rejects; 1e999 is the
+    # literal that JSON reads as infinity without it. No sampled string holds "Infinity".
+    path.write_text(json.dumps(config).replace("Infinity", "1e999"))
     try:
         cfg = cli.load_run_config(path)
     except ConfigError:
@@ -945,5 +965,5 @@ def test_run_config_loader_returns_or_raises_config_error(tmp_path, config):
     floats = [key for key, (_, f) in cli._FIELDS.items() if f.type is float]
     assert sorted(floats) == ["dropout_rate", "eps", "fuzzifier", "learning_rate"]
     assert all(math.isfinite(cfg[key]) for key in floats)
-    assert cfg["fuzzifier"] > 1 and cfg["eps"] > 0 and cfg["learning_rate"] > 0
+    assert 1 < cfg["fuzzifier"] < math.inf and cfg["eps"] > 0 and cfg["learning_rate"] > 0
     assert 0 <= cfg["dropout_rate"] < 1
