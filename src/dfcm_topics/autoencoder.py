@@ -149,7 +149,9 @@ def _infer(layers, X):
 
 
 def _backward(layers, caches, dOut, grads, drop_masks=None):
-    """Backpropagate dOut (overwritten) through the stack into grads' per-layer (dW, db)."""
+    """Backpropagate dOut (overwritten) through the stack into grads' per-layer (dW, db),
+    last layer first. Yields i once layer i's (dW, db) and the gradient below it, which
+    reads layer i's weights, are computed, so the caller may then update layer i."""
     dA = dOut
     for i in range(len(layers) - 1, -1, -1):
         A, Z = caches[i]
@@ -158,11 +160,11 @@ def _backward(layers, caches, dOut, grads, drop_masks=None):
         dW, db = grads[i]
         np.matmul(dA.T, A, out=dW)
         dA.sum(axis=0, out=db)
-        if i == 0:  # nothing reads the gradient with respect to the input
-            break
-        dA = dA @ layers[i].weights
-        if drop_masks is not None:
-            dA *= drop_masks[i]
+        if i > 0:  # nothing reads the gradient with respect to the input
+            dA = dA @ layers[i].weights
+            if drop_masks is not None:
+                dA *= drop_masks[i]
+        yield i
 
 
 def _mse_and_grad(Y, target):
@@ -179,12 +181,12 @@ TRAIN_DTYPE = np.float32
 
 
 class _Optimizer:
-    """Adam, in place.
+    """Adam, in place, one layer at a time.
 
     Copies the layers' weights and biases into one flat TRAIN_DTYPE vector,
-    params, and rebinds each layer's arrays to views of it. grad, m and v are
-    flat vectors of the same length; grads holds the per-layer (dW, db) views
-    of grad that _backward fills.
+    params, and rebinds each layer's arrays to views of it; m and v match it.
+    grad is one block sized to the largest layer, and grads holds each layer's
+    (dW, db) views of its head, which _backward fills and step(i) reads.
     """
 
     BLOCK = 1 << 15  # elements per step block: the two scratch blocks stay in a 2 MB L2
@@ -193,36 +195,40 @@ class _Optimizer:
         self.learning_rate = cfg.learning_rate
         self.t = 0
         self.layers = layers
-        arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
-        self._shapes = [a.shape for a in arrays]
-        self._cuts = np.cumsum([a.size for a in arrays])[:-1]
-        self.params = np.concatenate([a.ravel() for a in arrays], dtype=TRAIN_DTYPE)
-        self.grad = np.zeros_like(self.params)
+        self._shapes = [layer.weights.shape for layer in layers]
+        sizes = [out_dim * (in_dim + 1) for out_dim, in_dim in self._shapes]
+        self._offsets = np.cumsum([0, *sizes])
+        self.grad = np.zeros(max(sizes), dtype=TRAIN_DTYPE)
+        self.grads = [self._views(self.grad, i) for i in range(len(layers))]
+        self.m = np.zeros(self._offsets[-1], dtype=TRAIN_DTYPE)
+        self.v = np.zeros_like(self.m)
+        self._scratch = np.empty((2, min(max(sizes), self.BLOCK)), dtype=TRAIN_DTYPE)
+        # params comes last, so that freed after widen() it adjoins the space m and v left.
+        arrays = [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]
+        self.params = np.concatenate(arrays, dtype=TRAIN_DTYPE)
         self._bind(self.params)
-        self.grads = self._layer_views(self.grad)
-        self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params)
-        self._scratch = np.empty((2, min(self.params.size, self.BLOCK)), dtype=TRAIN_DTYPE)
 
-    def _layer_views(self, flat):
-        """Per-layer (weights, bias)-shaped views of flat."""
-        views = iter([v.reshape(s) for v, s in zip(np.split(flat, self._cuts), self._shapes)])
-        return list(zip(views, views))
+    def _views(self, flat, i):
+        """Layer i's (weights, bias)-shaped views of the head of flat."""
+        out_dim, in_dim = self._shapes[i]
+        cut = out_dim * in_dim
+        return flat[:cut].reshape(out_dim, in_dim), flat[cut : cut + out_dim]
 
     def _bind(self, flat):
-        for layer, (W, b) in zip(self.layers, self._layer_views(flat)):
-            layer.weights, layer.bias = W, b
+        for i, layer in enumerate(self.layers):
+            layer.weights, layer.bias = self._views(flat[self._offsets[i] :], i)
 
     def widen(self):
-        """Rebind the layers to views of a float64 copy of params, which holds them exactly."""
+        """Free grad, m, v and scratch; rebind the layers to an exact float64 copy of params."""
+        del self.grad, self.grads, self.m, self.v, self._scratch
         self._bind(self.params.astype(np.float64))
 
-    def step(self):
-        """One update from grad, block by block; bit-identical to a per-array update."""
-        self.t += 1
-        for start in range(0, self.params.size, self.BLOCK):
-            block = slice(start, start + self.BLOCK)
-            p, g, m, v = self.params[block], self.grad[block], self.m[block], self.v[block]
+    def step(self, i):
+        """Update layer i from grads[i], block by block; bit-identical to a per-array update."""
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        slices = (self.params[lo:hi], self.grad[: hi - lo], self.m[lo:hi], self.v[lo:hi])
+        for start in range(0, hi - lo, self.BLOCK):
+            p, g, m, v = (a[start : start + self.BLOCK] for a in slices)
             s1, s2 = self._scratch[:, : p.size]
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=s1)
@@ -270,20 +276,23 @@ def _train(layers, X, cfg, rng, rate):
     n = X.shape[0]
     opt = _Optimizer(layers, cfg)
     trace = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch = _densify(X[order[start : start + cfg.batch_size]], TRAIN_DTYPE)
-            masks = _pair_masks(batch, layers, rate, rng)
-            Y, caches = _forward(layers, batch, masks)
-            loss, dOut = _mse_and_grad(Y, batch)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"training loss became {loss}")
-            _backward(layers, caches, dOut, opt.grads, masks)
-            opt.step()
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteLossError
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                batch = _densify(X[order[start : start + cfg.batch_size]], TRAIN_DTYPE)
+                masks = _pair_masks(batch, layers, rate, rng)
+                Y, caches = _forward(layers, batch, masks)
+                loss, dOut = _mse_and_grad(Y, batch)
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(f"training loss became {loss}")
+                opt.t += 1  # once per minibatch; each layer steps as soon as backprop passes it
+                for i in _backward(layers, caches, dOut, opt.grads, masks):
+                    opt.step(i)
+                epoch_losses.append(loss)
+            trace.append(float(np.mean(epoch_losses)))
+    batch = masks = Y = caches = dOut = None  # free the last batch before the widen
     opt.widen()
     return trace
 

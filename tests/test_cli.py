@@ -170,19 +170,24 @@ class TestDetect:
 _CLI = "import sys; from dfcm_topics.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def _run_cli(argv, **env):
+    """The CLI in a child process that imports this checkout's package."""
+    src = str(Path(dfcm_topics.__file__).parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 @pytest.mark.parametrize("method", ["efcm", "dfcm"])
 def test_topic_words_same_at_one_and_two_blas_threads(artifacts, tmp_path, method):
-    src = str(Path(dfcm_topics.__file__).parents[1])
     words = []
     for threads in ("1", "2"):
         out = tmp_path / f"run{threads}"
         cfg = _write_config(tmp_path / f"cfg{threads}.json", artifacts, out, method=method,
                             train={"epochs": 2})
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", _CLI, "detect", "--config", str(cfg), "--seed", "7"],
-                       env=env, check=True, capture_output=True, timeout=300)
+        _run_cli(["detect", "--config", str(cfg), "--seed", "7"], OPENBLAS_NUM_THREADS=threads,
+                 OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads).check_returncode()
         topic_set = json.loads((out / "topics.json").read_text())["topics"]
         words.append([[w["term"] for w in t["words"]] for t in topic_set])
     assert words[0] == words[1] and all(words[0])
@@ -495,6 +500,21 @@ def test_matrix_entries_must_match_header_nnz(artifacts, tmp_path, method, case,
         paths={"matrix": str(matrix)},
     )
     assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+
+
+def test_overflowing_training_loss_exits_3_without_a_numpy_warning(artifacts, tmp_path):
+    """A weight of 2e19 squares past float32's range: detect reports only NonFiniteLossError."""
+    lines = (artifacts / "matrix.txt").read_text().splitlines()
+    row, col, _ = lines[4].split()
+    lines[4] = f"{row} {col} 2e19"
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("\n".join(lines) + "\n")
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method="dfcm",
+                        paths={"matrix": str(matrix)})
+    proc = _run_cli(["detect", "--config", str(cfg), "--seed", "1"])
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert "training loss became inf" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def _truncate(text):
