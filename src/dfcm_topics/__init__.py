@@ -10,7 +10,7 @@ from .autoencoder import (
     greedy_pretrain,
     load_checkpoint,
 )
-from .coherence import CoherenceReport, WordVectorStore, evaluate, load_word_vectors, tc_w2v
+from .coherence import CoherenceReport, evaluate, load_word_vectors, tc_w2v
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .svd import TruncatedSvd, back_project, project, truncated_svd
 from .textprep import (
@@ -21,6 +21,6 @@ from .textprep import (
     tokenize,
     vectorize_tfidf,
 )
-from .topics import PipelineConfig, Topic, TopicSet, cluster_topics, detect, represent
+from .topics import PipelineConfig, TopicSet, cluster_topics, detect, represent
 
 __version__ = "0.1.0"

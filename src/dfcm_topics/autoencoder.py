@@ -297,17 +297,17 @@ def _train(layers, X, cfg, rng, rate):
     return trace
 
 
-def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng):
+def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng) -> np.ndarray:
     """Fit one denoising autoencoder pair on the previous clean activations.
 
-    Trains the given layers in place and returns them with the next clean
+    Trains the given layers in place and returns the next clean
     representation H_next = g(W1 H_prev + b1), computed without dropout.
     """
     _train([enc_layer, dec_layer], H_prev, cfg, rng, cfg.dropout_rate)
-    return enc_layer, dec_layer, _infer([enc_layer], H_prev)
+    return _infer([enc_layer], H_prev)
 
 
-def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> AutoencoderModel:
+def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> None:
     """Pretrain each encoder layer in order as a denoising autoencoder.
 
     Layer i trains on the clean activations of layer i-1 (the raw data for
@@ -317,15 +317,14 @@ def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> Autoencoder
     rng = np.random.default_rng(cfg.seed)
     H = X
     for enc, dec in zip(model.encoder_layers, reversed(model.decoder_layers)):
-        _, _, H = pretrain_layer(H, enc, dec, cfg, rng)
-    return model
+        H = pretrain_layer(H, enc, dec, cfg, rng)
 
 
-def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> tuple[AutoencoderModel, list[float]]:
-    """End-to-end reconstruction training of the full stack, no dropout."""
-    rng = np.random.default_rng(cfg.seed + 1)
-    trace = _train(model.layers, X, cfg, rng, 0.0)
-    return model, trace
+def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> list[float]:
+    """End-to-end reconstruction training of the full stack in place, no dropout.
+
+    Returns the per-epoch loss trace."""
+    return _train(model.layers, X, cfg, np.random.default_rng(cfg.seed + 1), 0.0)
 
 
 def encode(model: AutoencoderModel, X) -> np.ndarray:
@@ -338,7 +337,7 @@ def decode(model: AutoencoderModel, C) -> np.ndarray:
     return _infer(model.decoder_layers, np.asarray(C, dtype=np.float64))
 
 
-def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss=None):
+def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig, final_loss: float):
     """Binary checkpoint: header, then per-layer float64 weights and bias.
 
     A JSON sidecar (<path>.json) records the train config and final loss.
@@ -360,11 +359,7 @@ def save_checkpoint(model: AutoencoderModel, path, train_config=None, final_loss
             )
             fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-    sidecar = {
-        "train_config": None if train_config is None else vars(train_config),
-        "final_loss": final_loss,
-    }
-    save_json(f"{path}.json", sidecar)
+    save_json(f"{path}.json", {"train_config": vars(train_config), "final_loss": final_loss})
 
 
 def load_checkpoint(path) -> AutoencoderModel:

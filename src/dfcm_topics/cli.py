@@ -208,9 +208,9 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out) if args.out else Path(args.topics).with_name("coherence.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     topic_set = topics.load_topic_set(args.topics)
-    words = {term for topic in topic_set.topics for term, _ in topic.words}
-    store = coherence.load_word_vectors(args.embeddings, words)
-    report = coherence.evaluate(topic_set, store)
+    words = {term for topic in topic_set.topics for term, _ in topic}
+    vectors = coherence.load_word_vectors(args.embeddings, words)
+    report = coherence.evaluate(topic_set, vectors)
     coherence.save_report(report, out)
     print(f"mean TC-W2V: {report.mean_score:.6f} "
           f"({len(report.per_topic)} scored, {len(report.skipped_topics)} skipped)")
@@ -228,7 +228,7 @@ def cmd_compare(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab, dtm = _load_artifacts(vocabulary, matrix)
-    store = coherence.load_word_vectors(embeddings, vocab.terms)  # topic words are terms
+    vectors = coherence.load_word_vectors(embeddings, vocab.terms)  # topic words are terms
 
     rows = []
     for method in methods:
@@ -252,7 +252,7 @@ def cmd_compare(args) -> int:
                     pipe_cfg = _pipeline_config({**group, "clusters": c}, group_seed)
                     result = topics.cluster_topics(rep, vocab, pipe_cfg)
                     _save_detection(result, pipe_cfg, out / f"{method}_c{c}_e{epochs}")
-                    report = coherence.evaluate(result.topic_set, store)
+                    report = coherence.evaluate(result.topic_set, vectors)
                     row["mean_score"] = f"{report.mean_score:.17g}"
                     row["topic_scores"] = ";".join(f"{s:.17g}" for _, s, _ in report.per_topic)
                 except DfcmError as exc:

@@ -14,25 +14,13 @@ VECTOR_CHUNK = 64  # lines per np.loadtxt call; 1,024 raised efcm-sweep peak RSS
 
 
 @dataclass
-class WordVectorStore:
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __contains__(self, term):
-        return term in self.vectors
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-@dataclass
 class CoherenceReport:
     per_topic: list[tuple[int, float, int]]  # (topic index, score, words found)
-    mean_score: float
+    mean_score: float  # NaN when no topic scored
     skipped_topics: list[int] = field(default_factory=list)
 
 
-def load_word_vectors(path, words=None) -> WordVectorStore:
+def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
     """Parse a text embedding file: optional `count dim` header, then
     one `term v1 ... v_dim` line per term. Duplicate terms keep the
     first occurrence. Every line is parsed and checked, but with `words`
@@ -62,7 +50,7 @@ def load_word_vectors(path, words=None) -> WordVectorStore:
             lineno += len(lines)
     if dim is None or not seen:
         raise MalformedLineError.at(path, "embedding file is empty")
-    return WordVectorStore(dim, vectors)
+    return vectors
 
 
 def _take_block(lines, dim, vectors, seen, words) -> bool:
@@ -105,15 +93,15 @@ def _take_lines(path, lines, lineno, dim, vectors, seen, words) -> int:
     return dim
 
 
-def tc_w2v(topic_words: list[str], store: WordVectorStore) -> tuple[float, int]:
-    """Mean pairwise cosine over the topic words found in the store.
+def tc_w2v(topic_words: list[str], vectors: dict[str, np.ndarray]) -> tuple[float, int]:
+    """Mean pairwise cosine over the topic words found in vectors.
 
-    Returns (score, number of words found). Words missing from the store
+    Returns (score, number of words found). Words missing from vectors
     are skipped; fewer than two known words is an error.
     """
     if not topic_words:
         raise TooFewKnownWordsError("topic has no words")
-    known = np.array([store.vectors[w] for w in topic_words if w in store])
+    known = np.array([vectors[w] for w in topic_words if w in vectors])
     n = len(known)
     if n < 2:
         raise TooFewKnownWordsError(
@@ -126,14 +114,13 @@ def tc_w2v(topic_words: list[str], store: WordVectorStore) -> tuple[float, int]:
     return float((unit @ unit.T)[np.triu_indices(n, 1)].mean()), n
 
 
-def evaluate(topic_set, store: WordVectorStore) -> CoherenceReport:
+def evaluate(topic_set, vectors: dict[str, np.ndarray]) -> CoherenceReport:
     """Score every topic's ranked word list; skip unscoreable topics."""
     per_topic = []
     skipped = []
     for idx, topic in enumerate(topic_set.topics):
-        words = [term for term, _ in topic.words]
         try:
-            score, found = tc_w2v(words, store)
+            score, found = tc_w2v([term for term, _ in topic], vectors)
         except TooFewKnownWordsError:
             skipped.append(idx)
             continue
@@ -147,7 +134,7 @@ def save_report(report: CoherenceReport, path) -> None:
         "per_topic": [
             {"topic": i, "score": s, "words_found": n} for i, s, n in report.per_topic
         ],
-        "mean_score": report.mean_score,
+        "mean_score": report.mean_score if report.per_topic else None,  # JSON has no NaN
         "skipped_topics": report.skipped_topics,
     }
     save_json(path, payload)

@@ -65,7 +65,7 @@ def _sq_distances(X: np.ndarray, Q: np.ndarray, xx=None, out=None) -> np.ndarray
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
+def _lloyd(X, xx, centers, d2):
     """Lloyd's algorithm from given centers, in the (c, n) buffer d2; returns (centers, sse).
 
     Labels are those of a full _sq_distances + argmin pass, but Hamerly's
@@ -80,7 +80,7 @@ def _lloyd(X, xx, centers, d2, max_iter: int = KMEANS_MAX_ITER):
     r, upper, lower = np.empty((3, n))
     labels = np.empty(n, dtype=np.intp)
     full = prune = True  # the first pass sets the labels and bounds
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         if prune:
             r[:] = (xx + np.sum(centers**2, axis=1).max()) * slack + TINY  # TINY: underflow
         if not full:
@@ -157,7 +157,7 @@ def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def kmeans_init(X: np.ndarray, c: int, runs: int = 10, seed: int = 0) -> np.ndarray:
+def kmeans_init(X: np.ndarray, c: int, runs: int, seed: int) -> np.ndarray:
     """Best of `runs` k-means++/Lloyd runs by within-cluster SSE."""
     if runs < 1:
         raise ValueError("init_runs must be >= 1")

@@ -8,6 +8,7 @@ import collections
 import contextlib
 import itertools
 import json
+import os
 import re
 import string
 import warnings
@@ -285,12 +286,19 @@ def load_matrix(path) -> DocTermMatrix:
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise MalformedLineError(f"{path}: header must be 'n_docs n_terms nnz'", 1)
+            raise MalformedLineError.at(path, "header must be 'n_docs n_terms nnz'", 1)
         try:
             n_docs, n_terms, nnz = (int(x) for x in header)
-            entries = np.empty(nnz, _ENTRY)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise MalformedLineError.at(path, exc, 1) from exc
+        if min(n_docs, n_terms, nnz) < 0:
+            raise MalformedLineError.at(path, "header counts must be >= 0", 1)
+        if nnz > n_docs * n_terms:
+            raise MalformedLineError.at(path, f"nnz {nnz} exceeds {n_docs} x {n_terms}", 1)
+        size = os.fstat(fh.fileno()).st_size  # known only for a seekable file, not a pipe
+        if fh.seekable() and 6 * nnz > size:  # an entry line is >= 6 bytes: "0 0 1" and "\n"
+            raise MalformedLineError.at(path, f"{nnz} entries cannot fit in {size} bytes", 1)
+        entries = np.empty(nnz, _ENTRY)
         for start in range(0, nnz, ENTRY_CHUNK):  # entry i is on line i + 2
             k = min(ENTRY_CHUNK, nnz - start)
             lines = list(itertools.islice(fh, k))

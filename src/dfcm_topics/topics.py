@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import svd as tsvd
-from .errors import DimensionMismatchError, MalformedLineError
+from .errors import DimensionMismatchError, MalformedLineError, TooFewPointsError
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .seeding import stage_seed
 from .textprep import DocTermMatrix, Vocabulary, load_json, save_json
@@ -46,13 +46,8 @@ class PipelineConfig:
 
 
 @dataclass
-class Topic:
-    words: list[tuple[str, float]]  # weight-descending
-
-
-@dataclass
 class TopicSet:
-    topics: list[Topic]
+    topics: list[list[tuple[str, float]]]  # each topic's (term, weight), weight-descending
     method: str
     config: dict
     warnings: list[str] = field(default_factory=list)
@@ -106,7 +101,7 @@ def represent(D: DocTermMatrix, cfg: PipelineConfig) -> Representation:
         return Representation(tsvd.project(D, decomp), lambda C: tsvd.back_project(C, decomp))
     model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
     ae.greedy_pretrain(D.matrix, model, cfg.train)
-    model, trace = ae.fine_tune(D.matrix, model, cfg.train)
+    trace = ae.fine_tune(D.matrix, model, cfg.train)
     return Representation(ae.encode(model, D.matrix), lambda C: ae.decode(model, C), model, trace)
 
 
@@ -123,12 +118,14 @@ def cluster_topics(rep: Representation, vocab: Vocabulary, cfg: PipelineConfig) 
         words, warn = extract_top_words(mu, vocab, cfg.top_n)
         if warn:
             warnings.append(f"topic {i}: {warn}")
-        topics.append(Topic(words))
+        topics.append(words)
     topic_set = TopicSet(topics, cfg.method, asdict(cfg), warnings)
     return DetectionResult(topic_set, result, topic_vectors, rep)
 
 
 def detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
+    if D.n_docs < cfg.c:  # checked before represent trains anything
+        raise TooFewPointsError(f"{D.n_docs} points < {cfg.c} clusters")
     return cluster_topics(represent(D, cfg), vocab, cfg)
 
 
@@ -139,9 +136,9 @@ def save_topic_set(topic_set: TopicSet, path) -> None:
         "topics": [
             {
                 "index": i,  # row of the topic-vector matrix
-                "words": [{"term": term, "weight": weight} for term, weight in t.words],
+                "words": [{"term": term, "weight": weight} for term, weight in words],
             }
-            for i, t in enumerate(topic_set.topics)
+            for i, words in enumerate(topic_set.topics)
         ],
         "warnings": topic_set.warnings,
     }
@@ -157,7 +154,7 @@ def load_topic_set(path) -> TopicSet:
         return w["term"], w["weight"]
 
     def build(payload):
-        topics = [Topic([word(w) for w in t["words"]]) for t in payload["topics"]]
+        topics = [[word(w) for w in t["words"]] for t in payload["topics"]]
         return TopicSet(topics, payload["method"], payload["config"], payload["warnings"])
 
     return load_json(path, build)

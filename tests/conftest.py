@@ -64,12 +64,25 @@ def write_planted_embeddings(path, vocab_sets, dim=None):
                 fh.write(f"{w} {' '.join(vec)}\n")
 
 
+# matrix.txt files whose header the loader rejects, and the message it gives.
+MATRIX_HEADER_CASES = [
+    ("2 3\n", "header must be 'n_docs n_terms nnz'"),
+    ("2 -3 0\n", "header counts must be >= 0"),
+    ("-2 3 0\n", "header counts must be >= 0"),
+    ("2 3 -1\n", "header counts must be >= 0"),
+    ("2 3 100000000000000\n0 0 1\n", "nnz 100000000000000 exceeds 2 x 3"),
+    ("1000 1000 1000\n0 0 1\n", "1000 entries cannot fit in 21 bytes"),
+]
+MATRIX_HEADER_IDS = ["two-fields", "negative-terms", "negative-docs", "negative-nnz",
+                     "nnz-past-shape", "nnz-past-file"]
+
+
 def topic_recovery(topic_set, vocab_sets, min_fraction=0.8):
     """Check a bijective topic<->planted-set match with enough top words
     drawn from the matched set. Returns (ok, per-topic best fractions)."""
     assignment, fractions = [], []
     for topic in topic_set.topics:
-        terms = [w for w, _ in topic.words]
+        terms = [w for w, _ in topic]
         fracs = [
             sum(1 for w in terms if w in s) / max(1, len(terms)) for s in vocab_sets
         ]

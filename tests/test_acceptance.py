@@ -89,7 +89,7 @@ def test_criterion_5_autoencoder_overfit():
     model = ae.build_autoencoder(50, 5, seed=1)
     loss0 = reconstruction_loss(model, X)
     ae.greedy_pretrain(X, model, TrainConfig(epochs=10, batch_size=256, seed=2))
-    model, _ = ae.fine_tune(
+    ae.fine_tune(
         model=model, X=X, cfg=TrainConfig(epochs=500, batch_size=256, seed=2)
     )
     loss1 = reconstruction_loss(model, X)
@@ -169,14 +169,11 @@ def test_criterion_7_planted_topic_recovery(tmp_path):
 
 def test_criterion_8_tc_w2v_oracle():
     s = 1.0 / math.sqrt(2.0)
-    store = coherence.WordVectorStore(
-        2,
-        {
-            "a": np.array([1.0, 0.0]),
-            "b": np.array([0.0, 1.0]),
-            "c": np.array([s, s]),
-        },
-    )
+    store = {
+        "a": np.array([1.0, 0.0]),
+        "b": np.array([0.0, 1.0]),
+        "c": np.array([s, s]),
+    }
     score, _ = coherence.tc_w2v(["a", "b", "c"], store)
     assert abs(score - 0.47140452) <= 1e-6
     rng = np.random.default_rng(0)

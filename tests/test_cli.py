@@ -24,7 +24,9 @@ import dfcm_topics.cli as cli
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import planted_corpus, write_planted_embeddings
+from conftest import (
+    MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus, write_planted_embeddings,
+)
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +502,30 @@ def test_matrix_entries_must_match_header_nnz(artifacts, tmp_path, method, case,
         paths={"matrix": str(matrix)},
     )
     assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("text, named", MATRIX_HEADER_CASES, ids=MATRIX_HEADER_IDS)
+def test_malformed_matrix_header_is_a_data_error(artifacts, tmp_path, caplog, text, named):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(text)
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                        paths={"matrix": str(matrix)})
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert re.search(f"{re.escape(str(matrix))}: line 1: {named}", caplog.text)
+
+
+@pytest.mark.parametrize("method", ["dfcm", "efcm"])
+def test_too_many_clusters_fail_before_the_representation(artifacts, tmp_path, monkeypatch,
+                                                          caplog, method):
+    with open(artifacts / "matrix.txt") as fh:
+        n_docs = int(fh.readline().split()[0])
+    represent = mock.Mock(side_effect=AssertionError("represent"))
+    monkeypatch.setattr(topics, "represent", represent)
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
+                        clusters=n_docs + 1)
+    assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+    assert f"{n_docs} points < {n_docs + 1} clusters" in caplog.text
+    assert not represent.called
 
 
 def test_overflowing_training_loss_exits_3_without_a_numpy_warning(artifacts, tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -7,20 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dfcm_topics import coherence
+from dfcm_topics import coherence, textprep
 from dfcm_topics.errors import (
     MalformedLineError,
     TooFewKnownWordsError,
     ZeroVectorError,
 )
-from dfcm_topics.topics import Topic, TopicSet
+from dfcm_topics.topics import TopicSet
 
 
 def _store(pairs):
-    return coherence.WordVectorStore(
-        len(next(iter(pairs.values()))),
-        {k: np.asarray(v, dtype=float) for k, v in pairs.items()},
-    )
+    return {k: np.asarray(v, dtype=float) for k, v in pairs.items()}
 
 
 class TestLoadWordVectors:
@@ -28,14 +26,14 @@ class TestLoadWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n")
         store = coherence.load_word_vectors(path)
-        assert store.dim == 3 and len(store) == 2
-        np.testing.assert_array_equal(store.vectors["a"], [1, 0, 0])
+        assert list(store) == ["a", "b"] and store["b"].shape == (3,)
+        np.testing.assert_array_equal(store["a"], [1, 0, 0])
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0 0\nb 0 1 0\n")
         store = coherence.load_word_vectors(path)
-        assert store.dim == 3 and len(store) == 2
+        assert list(store) == ["a", "b"] and store["b"].shape == (3,)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -58,7 +56,7 @@ class TestLoadWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\na 0 1\n")
         store = coherence.load_word_vectors(path)
-        np.testing.assert_array_equal(store.vectors["a"], [1, 0])
+        np.testing.assert_array_equal(store["a"], [1, 0])
 
 
 def reference_load_word_vectors(path):
@@ -100,7 +98,7 @@ def reference_load_word_vectors(path):
                 ) from exc
     if dim is None or not vectors:
         raise MalformedLineError(f"{path}: embedding file is empty")
-    return coherence.WordVectorStore(dim, vectors)
+    return vectors
 
 
 def _load_outcome(load, path, caplog):
@@ -108,7 +106,7 @@ def _load_outcome(load, path, caplog):
     caplog.clear()
     try:
         store = load(path)
-        result = (store.dim, list(store.vectors), [v.tobytes() for v in store.vectors.values()])
+        result = (list(store), [v.tobytes() for v in store.values()])
     except MalformedLineError as exc:
         result = (type(exc), str(exc), exc.line_number)
     return result, [r.getMessage() for r in caplog.records]
@@ -117,11 +115,11 @@ def _load_outcome(load, path, caplog):
 def _restricted(outcome, words):
     """A loader outcome with its vectors restricted to words, in file order."""
     result, logs = outcome
-    if not isinstance(result[0], int):  # an error is the same error
+    if not isinstance(result[0], list):  # an error is the same error
         return outcome
-    dim, terms, bits = result
+    terms, bits = result
     kept = [i for i, term in enumerate(terms) if term in words]
-    return (dim, [terms[i] for i in kept], [bits[i] for i in kept]), logs
+    return ([terms[i] for i in kept], [bits[i] for i in kept]), logs
 
 
 def assert_chunked_load_matches_reference(path, caplog, words=None):
@@ -214,7 +212,7 @@ def test_chunked_load_examples(tmp_path, caplog, text, error_line):
     path.write_bytes(text.encode("utf-8"))
     result = assert_chunked_load_matches_reference(path, caplog)
     if error_line is None:
-        assert isinstance(result[0], int)
+        assert isinstance(result[0], list)
     else:
         assert result[0] is MalformedLineError and result[2] == error_line
 
@@ -224,8 +222,8 @@ def test_regular_chunks_skip_the_line_loop(tmp_path):
     path.write_text("3 2\n\u65e5\u672c 1 2\n\u00e4 3 4\nb 5 6\n", encoding="utf-8")
     with mock.patch.object(coherence, "_take_lines", side_effect=AssertionError):
         store = coherence.load_word_vectors(path)
-    assert list(store.vectors) == ["\u65e5\u672c", "\u00e4", "b"]
-    assert all(v.base is not None for v in store.vectors.values())  # row views of one block
+    assert list(store) == ["\u65e5\u672c", "\u00e4", "b"]
+    assert all(v.base is not None for v in store.values())  # row views of one block
 
 
 def test_filtered_load_retains_the_kept_vectors_not_the_file(tmp_path):
@@ -244,7 +242,7 @@ def test_filtered_load_retains_the_kept_vectors_not_the_file(tmp_path):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sorted(store.vectors) == sorted(words)
+    assert sorted(store) == sorted(words)
     kept = len(words) * dim * 8  # 64 kB, against 4.1 MB for the whole file
     assert kept <= retained < 1.5 * kept
 
@@ -274,7 +272,7 @@ class TestCosine:
 
 def reference_tc_w2v(topic_words, store):
     """The pairwise loop tc_w2v used to run: its oracle up to rounding."""
-    known = [store.vectors[w] for w in topic_words if w in store]
+    known = [store[w] for w in topic_words if w in store]
     total = 0.0
     for j in range(1, len(known)):
         for i in range(j):
@@ -325,14 +323,14 @@ class TestTcW2v:
     def test_bounds(self):
         rng = np.random.default_rng(1)
         store = _store({f"w{i}": rng.normal(size=3) for i in range(8)})
-        score, _ = coherence.tc_w2v(list(store.vectors), store)
+        score, _ = coherence.tc_w2v(list(store), store)
         assert -1.0 <= score <= 1.0
 
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(2)
         store = _store({f"w{i}": rng.normal(size=50) for i in range(30)})
         for _ in range(100):
-            words = list(rng.choice(list(store.vectors), size=rng.integers(2, 12)))
+            words = list(rng.choice(list(store), size=rng.integers(2, 12)))
             score, _ = coherence.tc_w2v(words, store)
             assert score == pytest.approx(reference_tc_w2v(words, store), abs=1e-15)
 
@@ -345,7 +343,7 @@ class TestTcW2v:
 
 
 def _topic_set(word_lists):
-    topics = [Topic([(w, 1.0) for w in words]) for words in word_lists]
+    topics = [[(w, 1.0) for w in words] for words in word_lists]
     return TopicSet(topics, "efcm", {})
 
 
@@ -369,8 +367,15 @@ class TestEvaluate:
         report = coherence.evaluate(_topic_set([["a", "b"]]), store)
         path = tmp_path / "report.json"
         coherence.save_report(report, path)
-        import json
-
         payload = json.loads(path.read_text())
         assert payload["mean_score"] == pytest.approx(report.mean_score)
         assert payload["per_topic"][0]["words_found"] == 2
+
+    def test_no_scored_topic_writes_null_mean(self, tmp_path):
+        store = _store({"a": [1, 0], "b": [1, 1]})
+        report = coherence.evaluate(_topic_set([["a", "zzz"], ["yyy"]]), store)
+        path = tmp_path / "report.json"
+        coherence.save_report(report, path)
+        payload = json.loads(path.read_text(), parse_constant=textprep.reject_non_finite)
+        assert payload["mean_score"] is None
+        assert payload["per_topic"] == [] and payload["skipped_topics"] == [0, 1]

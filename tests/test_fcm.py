@@ -192,7 +192,7 @@ class TestKmeansInit:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            fcm.kmeans_init(np.zeros((2, 2)), 3)
+            fcm.kmeans_init(np.zeros((2, 2)), 3, runs=1, seed=0)
 
     @pytest.mark.parametrize("name", sorted(_reference_sets()))
     def test_matches_reference(self, name):
@@ -297,15 +297,15 @@ class TestKmeansInit:
     def test_nonfinite_input(self):
         X = np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])
         with pytest.raises(NonFiniteInputError):
-            fcm.kmeans_init(X, 2)
+            fcm.kmeans_init(X, 2, runs=1, seed=0)
         with pytest.raises(NonFiniteInputError):
-            fcm.kmeans_init(np.array([[np.nan]]), 1)
+            fcm.kmeans_init(np.array([[np.nan]]), 1, runs=1, seed=0)
 
     def test_zero_runs_rejected_as_by_the_config(self):
         with pytest.raises(ValueError, match="^init_runs must be >= 1$"):
             fcm.FcmConfig(init_runs=0)
         with pytest.raises(ValueError, match="^init_runs must be >= 1$"):
-            fcm.kmeans_init(np.arange(10.0).reshape(5, 2), 3, runs=0)
+            fcm.kmeans_init(np.arange(10.0).reshape(5, 2), 3, runs=0, seed=0)
 
     def test_empty_cluster_is_reseeded_to_farthest_point(self):
         # Three distinct points, two coincident starting centres: the

@@ -2,6 +2,9 @@ import copy
 import functools
 import json
 import math
+import os
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
-from conftest import planted_corpus
+from conftest import MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus
 
 
 def collapse_oracle(token):
@@ -355,6 +358,39 @@ class TestSerialization:
         with pytest.raises(MalformedLineError, match=named) as err:
             textprep.load_matrix(path)
         assert err.value.line_number == line
+
+    @pytest.mark.parametrize("text, named", MATRIX_HEADER_CASES, ids=MATRIX_HEADER_IDS)
+    def test_header_checked_before_entries_are_allocated(self, tmp_path, monkeypatch,
+                                                         text, named):
+        path = tmp_path / "matrix.txt"
+        path.write_text(text)
+        for name in ("loadtxt_chunk", "_parse_entries"):
+            monkeypatch.setattr(textprep, name, mock.Mock(side_effect=AssertionError(name)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedLineError, match=named) as err:
+                textprep.load_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(f"{path}: line 1: ")
+        assert err.value.line_number == 1
+        assert peak < 1 << 20
+
+    def test_matrix_read_from_a_pipe(self, tmp_path):
+        path = tmp_path / "matrix.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("2 2 2\n0 0 1\n1 1 2\n",))
+        writer.start()
+        try:
+            assert textprep.load_matrix(path).matrix.toarray().tolist() == [[1, 0], [0, 2]]
+        finally:
+            writer.join()
+
+    def test_header_nnz_at_its_bounds_is_accepted(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("1 2 2\n0 0 1\n0 1 1")  # nnz = n_docs * n_terms; 6 * nnz < 17 bytes
+        assert textprep.load_matrix(path).matrix.toarray().tolist() == [[1.0, 1.0]]
 
     def test_extra_field_on_unterminated_last_line_is_named(self, tmp_path):
         path = tmp_path / "matrix.txt"

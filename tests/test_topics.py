@@ -83,7 +83,7 @@ class TestEfcmPipeline:
         result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 1))
         assert np.all(result.topic_vectors >= 0)
         for topic in result.topic_set.topics:
-            assert all(w >= 0 for _, w in topic.words)
+            assert all(w >= 0 for _, w in topic)
 
     def test_smallest_instance(self):
         vocab = _vocab(["a", "b"])
@@ -144,18 +144,14 @@ class TestDfcmPipeline:
         topics.save_topic_set(result.topic_set, path)
         loaded = topics.load_topic_set(path)
         assert loaded.method == result.topic_set.method
-        assert [t.words for t in loaded.topics] == [
-            t.words for t in result.topic_set.topics
-        ]
+        assert loaded.topics == result.topic_set.topics
 
     def test_end_to_end_determinism(self):
         sets, vocab, dtm, _ = planted_matrix(5)
         cfg = _pipeline_cfg("dfcm", 5, epochs=3)
         a = topics.detect(dtm, vocab, cfg)
         b = topics.detect(dtm, vocab, cfg)
-        assert [t.words for t in a.topic_set.topics] == [
-            t.words for t in b.topic_set.topics
-        ]
+        assert a.topic_set.topics == b.topic_set.topics
         np.testing.assert_array_equal(
             a.fcm_result.memberships, b.fcm_result.memberships
         )
