@@ -133,12 +133,13 @@ def _forward(layers, X, drop_masks=None):
     return A, caches
 
 
-def _infer(layers, X):
+def _infer(layers, X, dtype=np.float64):
     """Dropout-free _forward over the rows of X (dense or sparse), INFER_BATCH rows and
-    one layer at a time, so only the current layer's input and output are alive."""
+    one layer at a time, so only the current layer's input and output are alive. Each
+    block runs in float64, also on TRAIN_DTYPE layers, and is stored in dtype."""
     if X.shape[1] != layers[0].in_dim:
         raise DimensionMismatchError(f"expected {layers[0].in_dim} columns, got {X.shape[1]}")
-    out = np.empty((X.shape[0], layers[-1].out_dim))
+    out = np.empty((X.shape[0], layers[-1].out_dim), dtype=dtype)
     for start in range(0, X.shape[0], INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
         A = _densify(X[rows])
@@ -175,7 +176,7 @@ def _mse_and_grad(Y, target):
 
 
 # Adam's published constants (Kingma & Ba, arXiv:1412.6980). Training runs in
-# TRAIN_DTYPE; outside _train the layers hold float64 copies of its values.
+# TRAIN_DTYPE, and the trained layers keep its values.
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 TRAIN_DTYPE = np.float32
 
@@ -184,9 +185,10 @@ class _Optimizer:
     """Adam, in place, one layer at a time.
 
     Copies the layers' weights and biases into one flat TRAIN_DTYPE vector,
-    params, and rebinds each layer's arrays to views of it; m and v match it.
-    grad is one block sized to the largest layer, and grads holds each layer's
-    (dW, db) views of its head, which _backward fills and step(i) reads.
+    params, and rebinds each layer's arrays to views of it, which the layers
+    keep after training; m and v match it. grad is one block sized to the
+    largest layer, and grads holds each layer's (dW, db) views of its head,
+    which _backward fills and step(i) reads.
     """
 
     BLOCK = 1 << 15  # elements per step block: the two scratch blocks stay in a 2 MB L2
@@ -194,34 +196,25 @@ class _Optimizer:
     def __init__(self, layers, cfg: TrainConfig):
         self.learning_rate = cfg.learning_rate
         self.t = 0
-        self.layers = layers
         self._shapes = [layer.weights.shape for layer in layers]
         sizes = [out_dim * (in_dim + 1) for out_dim, in_dim in self._shapes]
         self._offsets = np.cumsum([0, *sizes])
+        # params is bound first, so the layers' old arrays are freed before m, v and grad exist.
+        self.params = np.concatenate(
+            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)], dtype=TRAIN_DTYPE)
+        for i, layer in enumerate(layers):
+            layer.weights, layer.bias = self._views(self.params[self._offsets[i] :], i)
         self.grad = np.zeros(max(sizes), dtype=TRAIN_DTYPE)
         self.grads = [self._views(self.grad, i) for i in range(len(layers))]
         self.m = np.zeros(self._offsets[-1], dtype=TRAIN_DTYPE)
         self.v = np.zeros_like(self.m)
         self._scratch = np.empty((2, min(max(sizes), self.BLOCK)), dtype=TRAIN_DTYPE)
-        # params comes last, so that freed after widen() it adjoins the space m and v left.
-        arrays = [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]
-        self.params = np.concatenate(arrays, dtype=TRAIN_DTYPE)
-        self._bind(self.params)
 
     def _views(self, flat, i):
         """Layer i's (weights, bias)-shaped views of the head of flat."""
         out_dim, in_dim = self._shapes[i]
         cut = out_dim * in_dim
         return flat[:cut].reshape(out_dim, in_dim), flat[cut : cut + out_dim]
-
-    def _bind(self, flat):
-        for i, layer in enumerate(self.layers):
-            layer.weights, layer.bias = self._views(flat[self._offsets[i] :], i)
-
-    def widen(self):
-        """Free grad, m, v and scratch; rebind the layers to an exact float64 copy of params."""
-        del self.grad, self.grads, self.m, self.v, self._scratch
-        self._bind(self.params.astype(np.float64))
 
     def step(self, i):
         """Update layer i from grads[i], block by block; bit-identical to a per-array update."""
@@ -270,8 +263,8 @@ def _train(layers, X, cfg, rng, rate):
     """Minibatch training loop shared by pretraining and fine-tuning.
 
     Above rate 0, layers is a denoising pair and every batch is corrupted
-    by _pair_masks. Trains in TRAIN_DTYPE, then leaves the layers as float64
-    views of one flat vector. Returns the per-epoch mean minibatch loss trace.
+    by _pair_masks. Trains in TRAIN_DTYPE and leaves the layers as views of
+    one flat TRAIN_DTYPE vector. Returns the per-epoch mean minibatch loss trace.
     """
     n = X.shape[0]
     opt = _Optimizer(layers, cfg)
@@ -292,19 +285,19 @@ def _train(layers, X, cfg, rng, rate):
                     opt.step(i)
                 epoch_losses.append(loss)
             trace.append(float(np.mean(epoch_losses)))
-    batch = masks = Y = caches = dOut = None  # free the last batch before the widen
-    opt.widen()
     return trace
 
 
-def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng) -> np.ndarray:
+def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng,
+                   dtype=np.float64) -> np.ndarray | None:
     """Fit one denoising autoencoder pair on the previous clean activations.
 
     Trains the given layers in place and returns the next clean
-    representation H_next = g(W1 H_prev + b1), computed without dropout.
+    representation H_next = g(W1 H_prev + b1), computed without dropout and
+    stored in dtype; dtype None skips it and returns None.
     """
     _train([enc_layer, dec_layer], H_prev, cfg, rng, cfg.dropout_rate)
-    return _infer([enc_layer], H_prev)
+    return None if dtype is None else _infer([enc_layer], H_prev, dtype)
 
 
 def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> None:
@@ -312,12 +305,15 @@ def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> None:
 
     Layer i trains on the clean activations of layer i-1 (the raw data for
     i = 0), paired with its mirrored decoder layer; both are trained in
-    place in the model.
+    place in the model. Only _train reads the last pair's input, so it is
+    stored in TRAIN_DTYPE, and nothing reads the last pair's output.
     """
     rng = np.random.default_rng(cfg.seed)
+    last = len(model.encoder_layers) - 1
+    dtypes = {last - 1: TRAIN_DTYPE, last: None}
     H = X
-    for enc, dec in zip(model.encoder_layers, reversed(model.decoder_layers)):
-        H = pretrain_layer(H, enc, dec, cfg, rng)
+    for i, (enc, dec) in enumerate(zip(model.encoder_layers, reversed(model.decoder_layers))):
+        H = pretrain_layer(H, enc, dec, cfg, rng, dtypes.get(i, np.float64))
 
 
 def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> list[float]:

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import coherence, textprep, topics
 from .autoencoder import TrainConfig, save_checkpoint
-from .errors import ConfigError, DfcmError, NonFiniteInputError, NonFiniteLossError
+from .errors import (ConfigError, DfcmError, NonFiniteInputError, NonFiniteLossError,
+                     TooFewPointsError)
 from .fcm import FcmConfig
 from .seeding import stage_seed
 
@@ -237,7 +238,8 @@ def cmd_compare(args) -> int:
             group = {**cfg, "method": method, "epochs": epochs}
             rep = result = failure = None  # frees the last group's codes and model first
             try:
-                rep = topics.represent(dtm, _pipeline_config(group, group_seed))
+                if any(c <= dtm.n_docs for c in cluster_list):  # other cells fail below, untrained
+                    rep = topics.represent(dtm, _pipeline_config(group, group_seed))
             except DfcmError as exc:
                 log.error("group (%s, epochs=%s) failed: %s", method, epochs, exc)
                 failure = f"error: {exc}"
@@ -249,6 +251,8 @@ def cmd_compare(args) -> int:
                 if failure:
                     continue
                 try:
+                    if c > dtm.n_docs:  # the error detect raises before it trains
+                        raise TooFewPointsError(f"{dtm.n_docs} points < {c} clusters")
                     pipe_cfg = _pipeline_config({**group, "clusters": c}, group_seed)
                     result = topics.cluster_topics(rep, vocab, pipe_cfg)
                     _save_detection(result, pipe_cfg, out / f"{method}_c{c}_e{epochs}")

@@ -95,9 +95,9 @@ def reference_forward(layers, X, drop_masks=None):
     return A, caches
 
 
-def reference_infer(layers, X):
+def reference_infer(layers, X, dtype=np.float64):
     """Whole-array dropout-free pass, the oracle for the blocked one."""
-    return reference_forward(layers, ae._densify(X))[0]
+    return reference_forward(layers, ae._densify(X))[0].astype(dtype)
 
 
 def _flat(arrays):
@@ -291,46 +291,65 @@ class TestFusedStep:
 class TestTrainingMemory:
     def test_fine_tune_peak_is_about_twelve_bytes_per_parameter(self, monkeypatch):
         """Training holds float32 params, m and v plus one layer's gradient (about 13.3
-        bytes per parameter here), and the widen float32 params plus their float64 copy
-        (12); a whole-model gradient kept through the widen would make it 24."""
+        bytes per parameter here) and frees all but params when it returns; a
+        whole-model gradient would make the peak 16."""
         model = ae.build_autoencoder(600, 3, seed=0, hidden_dims=(400, 400, 800))
         n_params = sum(l.weights.size + l.bias.size for l in model.layers)
         X = np.random.default_rng(0).normal(size=(8, 600))
-        real_widen, alive = ae._Optimizer.widen, []
+        real_init, held = ae._Optimizer.__init__, []
 
-        def widen(opt):
-            held = [weakref.ref(a) for a in (opt.grad, opt.m, opt.v, opt._scratch)]
-            real_widen(opt)
-            alive.extend(ref() is not None for ref in held)
+        def init(opt, layers, cfg):
+            real_init(opt, layers, cfg)
+            held.extend(weakref.ref(a) for a in (opt.grad, opt.m, opt.v, opt._scratch))
 
-        monkeypatch.setattr(ae._Optimizer, "widen", widen)
+        monkeypatch.setattr(ae._Optimizer, "__init__", init)
         tracemalloc.start()
         try:
             ae.fine_tune(X, model, ae.TrainConfig(epochs=1, batch_size=8, seed=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert alive == [False] * 4
+        assert [ref() is not None for ref in held] == [False] * 4
         assert peak < 14 * n_params
+
+    def test_trained_model_costs_four_bytes_per_parameter(self):
+        """Traced from before greedy_pretrain: the pretrained layers stay float32, so
+        fine-tuning adds m, v and one layer's gradient to 4 bytes per parameter, and
+        the model at rest keeps 4 (float64 layers between the stages made it 21 and 8)."""
+        model = ae.build_autoencoder(600, 3, seed=0, hidden_dims=(400, 400, 800))
+        n_params = sum(l.weights.size + l.bias.size for l in model.layers)
+        X = np.random.default_rng(0).normal(size=(8, 600))
+        cfg = ae.TrainConfig(epochs=1, batch_size=8, seed=0)
+        tracemalloc.start()
+        try:
+            ae.greedy_pretrain(X, model, cfg)
+            tracemalloc.reset_peak()
+            ae.fine_tune(X, model, cfg)
+            at_rest, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * n_params
+        assert 4 * n_params <= at_rest < 4.1 * n_params
 
 
 class TestTrainDtype:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_training_runs_in_train_dtype_and_leaves_float64_layers(self, monkeypatch, sparse):
-        """Every training array is TRAIN_DTYPE; inference and the trained layers are float64."""
+    def test_training_and_trained_layers_use_train_dtype(self, monkeypatch, sparse):
+        """Every training array and every trained layer is TRAIN_DTYPE. Inference runs in
+        float64 and stores its result in float64, except the last pretraining pair's
+        input, which only training reads: that is stored in TRAIN_DTYPE."""
         X = np.random.default_rng(0).normal(size=(20, 12))
         if sparse:
             X = sp.random(20, 12, density=0.5, random_state=0, format="csr")
         real_forward, real_backward, real_infer = ae._forward, ae._backward, ae._infer
         real_step = ae._Optimizer.step
-        seen = {"train": [], "infer": [], "masks": 0}
+        seen = {"train": [], "infer": [], "stored": [], "masks": 0}
         inferring = []
 
         def forward(layers, batch, drop_masks=None):
             Y, caches = real_forward(layers, batch, drop_masks)
-            seen["infer" if inferring else "train"].extend(
-                [batch, Y, *chain.from_iterable(caches),
-                 *(a for layer in layers for a in (layer.weights, layer.bias))])
+            seen["infer" if inferring else "train"].extend([batch, Y, *chain.from_iterable(caches)])
+            seen["train"].extend(a for layer in layers for a in (layer.weights, layer.bias))
             if drop_masks is not None:
                 seen["train"].extend(drop_masks)
                 seen["masks"] += len(drop_masks)
@@ -345,10 +364,11 @@ class TestTrainDtype:
             seen["train"].extend([opt.params, opt.grad, opt.m, opt.v, opt._scratch])
             real_step(opt, i)
 
-        def infer(layers, H):
+        def infer(layers, H, dtype=np.float64):
             inferring.append(True)
             try:
-                return real_infer(layers, H)
+                seen["stored"].append(real_infer(layers, H, dtype))
+                return seen["stored"][-1]
             finally:
                 inferring.pop()
 
@@ -358,17 +378,31 @@ class TestTrainDtype:
         monkeypatch.setattr(ae._Optimizer, "step", step)
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=2, batch_size=8, dropout_rate=0.2, seed=4)
-        H_next = ae.pretrain_layer(
-            X, model.encoder_layers[0], model.decoder_layers[-1], cfg, np.random.default_rng(4)
-        )
+        ae.greedy_pretrain(X, model, cfg)
         ae.fine_tune(X, model, cfg)
-        assert seen["masks"] == 2 * 2 * 3  # a pair of masks per batch, 3 batches per epoch
+        ae.encode(model, X)
+        assert seen["masks"] == 3 * 2 * 2 * 3  # 3 pairs, 2 epochs, 3 batches, 2 masks a batch
         assert seen["infer"] and all(a.dtype == np.float64 for a in seen["infer"])
         assert all(a.dtype == ae.TRAIN_DTYPE for a in seen["train"])
-        assert H_next.dtype == np.float64
+        # H1, then H2, the last pair's input, then the codes
+        assert [a.dtype for a in seen["stored"]] == [np.float64, ae.TRAIN_DTYPE, np.float64]
         for a in (a for layer in model.layers for a in (layer.weights, layer.bias)):
-            assert a.dtype == np.float64
-            assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+            assert a.dtype == ae.TRAIN_DTYPE
+
+    def test_inference_on_trained_layers_matches_their_float64_copies(self, tmp_path):
+        """float64 activations times float32 weights run in float64 on the same values, so
+        encode and decode give the bits of the float64 model the checkpoint loads."""
+        X = sp.random(40, 12, density=0.5, random_state=0, format="csr")
+        model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
+        cfg = ae.TrainConfig(epochs=2, batch_size=8, seed=4)
+        ae.greedy_pretrain(X, model, cfg)
+        ae.fine_tune(X, model, cfg)
+        ae.save_checkpoint(model, tmp_path / "model.bin", cfg, 0.0)
+        wide = ae.load_checkpoint(tmp_path / "model.bin")
+        assert all(l.weights.dtype == np.float64 for l in wide.layers)
+        codes = ae.encode(model, X)
+        assert np.array_equal(codes, ae.encode(wide, X))
+        assert np.array_equal(ae.decode(model, codes), ae.decode(wide, codes))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -411,6 +445,28 @@ class TestTraining:
         )
         assert H1.shape == (16, 5)
         assert np.all(np.isfinite(model.encoder_layers[1].weights))
+
+    def test_greedy_pretrain_infers_no_codes(self, monkeypatch):
+        """Four pairs train and three inferences run, none through the code layer."""
+        X = np.random.default_rng(0).normal(size=(16, 6))
+        model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4, 7))
+        real_pretrain, real_infer = ae.pretrain_layer, ae._infer
+        index = {id(layer): i for i, layer in enumerate(model.encoder_layers)}
+        pretrained, inferred = [], []
+
+        def pretrain_layer(H, enc, dec, cfg, rng, *args):
+            pretrained.append(index[id(enc)])
+            return real_pretrain(H, enc, dec, cfg, rng, *args)
+
+        def infer(layers, H, *args):
+            inferred.append([index[id(layer)] for layer in layers])
+            return real_infer(layers, H, *args)
+
+        monkeypatch.setattr(ae, "pretrain_layer", pretrain_layer)
+        monkeypatch.setattr(ae, "_infer", infer)
+        ae.greedy_pretrain(X, model, ae.TrainConfig(epochs=1, batch_size=8, seed=3))
+        assert pretrained == [0, 1, 2, 3]
+        assert inferred == [[0], [1], [2]]
 
     def test_greedy_pretrain_trains_model_layers_in_place(self):
         X = np.random.default_rng(0).normal(size=(16, 6))

@@ -322,6 +322,24 @@ class TestCompare:
         assert all(r["mean_score"] == "" for r in rows)
         assert not any(out.glob("efcm_c*"))
 
+    @pytest.mark.parametrize("method", ["dfcm", "efcm"])
+    def test_group_without_a_valid_cell_never_represents(
+        self, corpus_dir, artifacts, tmp_path, monkeypatch, method
+    ):
+        with open(artifacts / "matrix.txt") as fh:
+            n_docs = int(fh.readline().split()[0])
+        represent = mock.Mock(side_effect=AssertionError("represent"))
+        monkeypatch.setattr(topics, "represent", represent)
+        out = tmp_path / "sweep"
+        compare = {"methods": [method], "clusters": [n_docs + 1, n_docs + 2], "epochs": [1]}
+        cfg = self._sweep_config(tmp_path / "cfg.json", corpus_dir, artifacts, out, compare)
+        assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+        with open(out / "compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == [
+            f"error: {n_docs} points < {c} clusters" for c in (n_docs + 1, n_docs + 2)]
+        assert not represent.called
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
