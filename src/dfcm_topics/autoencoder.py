@@ -22,6 +22,10 @@ DEFAULT_HIDDEN_DIMS = (500, 500, 2000)
 _ACT_CODES = {"relu": 0, "linear": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAGIC = b"DAEMODL1"
+# The checkpoint after _MAGIC: a _HEADER, then per layer a _LAYER, its weights and its bias.
+_HEADER = struct.Struct("<IIII")  # version, input_dim, code_dim, layer count
+_LAYER = struct.Struct("<IIB")  # in_dim, out_dim, activation code
+_VALUE = np.dtype("<f8")  # every weight and bias value
 INFER_BATCH = 1024  # rows per block of every dropout-free pass
 
 
@@ -342,19 +346,11 @@ def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig, fi
     layers = model.layers
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII", 1, model.input_dim, model.code_dim, len(layers)
-            )
-        )
+        fh.write(_HEADER.pack(1, model.input_dim, model.code_dim, len(layers)))
         for layer in layers:
-            fh.write(
-                struct.pack(
-                    "<IIB", layer.in_dim, layer.out_dim, _ACT_CODES[layer.activation]
-                )
-            )
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+            fh.write(_LAYER.pack(layer.in_dim, layer.out_dim, _ACT_CODES[layer.activation]))
+            fh.write(np.ascontiguousarray(layer.weights, dtype=_VALUE).tobytes())
+            fh.write(np.ascontiguousarray(layer.bias, dtype=_VALUE).tobytes())
     save_json(f"{path}.json", {"train_config": vars(train_config), "final_loss": final_loss})
 
 
@@ -372,7 +368,7 @@ def load_checkpoint(path) -> AutoencoderModel:
 
         if read(len(_MAGIC), "header") != _MAGIC:
             raise MalformedLineError.at(path, "not a model checkpoint")
-        version, input_dim, code_dim, n_layers = struct.unpack("<IIII", read(16, "header"))
+        version, input_dim, code_dim, n_layers = _HEADER.unpack(read(_HEADER.size, "header"))
         if version != 1:
             raise MalformedLineError.at(path, f"unsupported checkpoint version {version}")
         if not n_layers:
@@ -381,7 +377,7 @@ def load_checkpoint(path) -> AutoencoderModel:
             raise MalformedLineError.at(path, f"odd layer count {n_layers}")
         half, layers = n_layers // 2, []
         for i in range(n_layers):
-            in_dim, out_dim, act = struct.unpack("<IIB", read(9, f"layer {i}"))
+            in_dim, out_dim, act = _LAYER.unpack(read(_LAYER.size, f"layer {i}"))
             if act not in _ACT_NAMES:
                 raise MalformedLineError.at(path, f"layer {i}: unknown activation code {act}")
             want_in = layers[-1].out_dim if layers else input_dim
@@ -389,8 +385,8 @@ def load_checkpoint(path) -> AutoencoderModel:
             if (in_dim, out_dim) != (want_in, want_out):
                 what = f"layer {i}: widths {in_dim} -> {out_dim}, expected {want_in} -> {want_out}"
                 raise MalformedLineError.at(path, what)
-            W = np.frombuffer(read(8 * in_dim * out_dim, f"layer {i}"), dtype="<f8")
-            b = np.frombuffer(read(8 * out_dim, f"layer {i}"), dtype="<f8")
+            W = np.frombuffer(read(_VALUE.itemsize * in_dim * out_dim, f"layer {i}"), _VALUE)
+            b = np.frombuffer(read(_VALUE.itemsize * out_dim, f"layer {i}"), _VALUE)
             layers.append(DenseLayer(W.reshape(out_dim, in_dim).copy(), b.copy(), _ACT_NAMES[act]))
         if fh.tell() != size:
             raise MalformedLineError.at(path, "trailing bytes after the last layer")

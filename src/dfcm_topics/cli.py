@@ -103,8 +103,9 @@ def load_run_config(path) -> dict:
             valid, what = (lambda v: v in topics.METHODS), "/".join(topics.METHODS)
         else:
             valid, what = (lambda v: type(v) is int and v >= 1), "integers >= 1"
-        if not (isinstance(items, list) and items and all(map(valid, items))):
-            raise ConfigError(f"config.compare.{key} must be a non-empty list of {what}")
+        if not (isinstance(items, list) and items and all(map(valid, items))
+                and len(set(items)) == len(items)):  # a repeat would redo a cell
+            raise ConfigError(f"config.compare.{key} must be a non-empty list of distinct {what}")
     _pipeline_config(cfg, seed=0)
     return cfg
 
@@ -169,10 +170,9 @@ def cmd_vectorize(args) -> int:
     return EXIT_OK
 
 
-def _save_detection(result: topics.DetectionResult, pipe_cfg, out: Path) -> None:
+def _save_detection(rep, topic_set, fit, pipe_cfg, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    topics.save_topic_set(result.topic_set, out / "topics.json")
-    fit = result.fcm_result
+    topics.save_topic_set(topic_set, out / "topics.json")
     c, n = fit.memberships.shape
     np.savetxt(
         out / "memberships.txt", fit.memberships, fmt="%.17g", header=f"{c} {n}", comments=""
@@ -185,9 +185,8 @@ def _save_detection(result: topics.DetectionResult, pipe_cfg, out: Path) -> None
             "converged": fit.converged,
         },
     )
-    model, trace = result.rep.model, result.rep.train_trace
-    if model is not None:
-        save_checkpoint(model, out / "model.bin", pipe_cfg.train, trace[-1])
+    if rep.model is not None:
+        save_checkpoint(rep.model, out / "model.bin", pipe_cfg.train, rep.train_trace[-1])
 
 
 def cmd_detect(args) -> int:
@@ -197,11 +196,11 @@ def cmd_detect(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab, dtm = _load_artifacts(vocabulary, matrix)
-    result = topics.detect(dtm, vocab, pipe_cfg)
-    _save_detection(result, pipe_cfg, out)
-    for warning in result.topic_set.warnings:
+    rep, topic_set, fit = topics.detect(dtm, vocab, pipe_cfg)
+    _save_detection(rep, topic_set, fit, pipe_cfg, out)
+    for warning in topic_set.warnings:
         log.warning("%s", warning)
-    print(f"wrote {out / 'topics.json'} ({len(result.topic_set.topics)} topics)")
+    print(f"wrote {out / 'topics.json'} ({len(topic_set.topics)} topics)")
     return EXIT_OK
 
 
@@ -236,7 +235,7 @@ def cmd_compare(args) -> int:
         for epochs in epoch_list if method == "dfcm" else epoch_list[:1]:  # a DFCM-only axis
             group_seed = stage_seed(args.seed, method, epochs)  # cell = detect --seed group_seed
             group = {**cfg, "method": method, "epochs": epochs}
-            rep = result = failure = None  # frees the last group's codes and model first
+            rep = failure = None  # frees the last group's codes and model first
             try:
                 if any(c <= dtm.n_docs for c in cluster_list):  # other cells fail below, untrained
                     rep = topics.represent(dtm, _pipeline_config(group, group_seed))
@@ -254,9 +253,9 @@ def cmd_compare(args) -> int:
                     if c > dtm.n_docs:  # the error detect raises before it trains
                         raise TooFewPointsError(f"{dtm.n_docs} points < {c} clusters")
                     pipe_cfg = _pipeline_config({**group, "clusters": c}, group_seed)
-                    result = topics.cluster_topics(rep, vocab, pipe_cfg)
-                    _save_detection(result, pipe_cfg, out / f"{method}_c{c}_e{epochs}")
-                    report = coherence.evaluate(result.topic_set, vectors)
+                    topic_set, fit = topics.cluster_topics(rep, vocab, pipe_cfg)
+                    _save_detection(rep, topic_set, fit, pipe_cfg, out / f"{method}_c{c}_e{epochs}")
+                    report = coherence.evaluate(topic_set, vectors)
                     row["mean_score"] = f"{report.mean_score:.17g}"
                     row["topic_scores"] = ";".join(f"{s:.17g}" for _, s, _ in report.per_topic)
                 except DfcmError as exc:

@@ -22,9 +22,9 @@ class CoherenceReport:
 
 def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
     """Parse a text embedding file: optional `count dim` header, then
-    one `term v1 ... v_dim` line per term. Duplicate terms keep the
-    first occurrence. Every line is parsed and checked, but with `words`
-    given only their vectors are kept. Kept vectors are copied out of
+    one `term v1 ... v_dim` line per term, every value finite. Duplicate
+    terms keep the first occurrence. Every line is parsed and checked, but with
+    `words` given only their vectors are kept. Kept vectors are copied out of
     their chunk's block, so no block outlives its chunk.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -54,12 +54,13 @@ def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
 
 
 def _take_block(lines, dim, vectors, seen, words) -> bool:
-    """Parse a chunk with numpy's C reader; False if a line is off or a term
-    repeats, for _take_lines to keep the first or name the line."""
+    """Parse a chunk with numpy's C reader; False if a line is off, a value is
+    not finite or a term repeats, for _take_lines to keep the first or name the line."""
     terms = [line.split(maxsplit=1)[0] for line in lines if not line.isspace()]
     block = loadtxt_chunk(lines, np.float64, converters={0: lambda _: 0.0}, ndmin=2)
     unique = len(set(terms)) == len(terms) and seen.isdisjoint(terms)
-    if block is None or block.shape != (len(terms), dim + 1) or not unique:
+    if (block is None or block.shape != (len(terms), dim + 1) or not unique
+            or not np.isfinite(block).all()):
         return False
     seen.update(terms)
     kept = [i for i, term in enumerate(terms) if words is None or term in words]
@@ -87,6 +88,8 @@ def _take_lines(path, lines, lineno, dim, vectors, seen, words) -> int:
             vector = np.array(values, dtype=np.float64)
         except ValueError as exc:
             raise MalformedLineError.at(path, f"non-numeric value ({exc})", lineno) from exc
+        if not np.isfinite(vector).all():
+            raise MalformedLineError.at(path, "non-finite value", lineno)
         seen.add(term)
         if words is None or term in words:
             vectors[term] = vector

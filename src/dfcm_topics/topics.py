@@ -3,7 +3,7 @@
 `represent`, the only method-specific stage, maps the documents to codes
 by the autoencoder (DFCM) or the truncated SVD (EFCM) and returns the map
 back to term space. `cluster_topics` runs fuzzy c-means on the codes, maps
-the centroids back, rectifies and ranks topic words. `detect` runs both.
+the centroids back and ranks their positive-weight terms. `detect` runs both.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -66,14 +66,6 @@ class Representation(NamedTuple):
     train_trace: list[float] | None = None
 
 
-@dataclass
-class DetectionResult:
-    topic_set: TopicSet
-    fcm_result: FcmResult
-    topic_vectors: np.ndarray  # (c, n_terms), rectified
-    rep: Representation  # the codes, back-map and (dfcm) model the topics came from
-
-
 def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
     """Top-n largest-weight terms, ties broken by the sorted vocabulary's order.
 
@@ -105,28 +97,31 @@ def represent(D: DocTermMatrix, cfg: PipelineConfig) -> Representation:
     return Representation(ae.encode(model, D.matrix), lambda C: ae.decode(model, C), model, trace)
 
 
-def cluster_topics(rep: Representation, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
-    """Fuzzy c-means on the codes; map the centroids back, rectify and rank their words."""
+def cluster_topics(
+    rep: Representation, vocab: Vocabulary, cfg: PipelineConfig
+) -> tuple[TopicSet, FcmResult]:
+    """Fuzzy c-means on the codes; map the centroids back and rank their positive words."""
     init = kmeans_init(rep.codes, cfg.fcm.c, cfg.fcm.init_runs, cfg.fcm.seed)
-    result = fcm_fit(rep.codes, cfg.fcm, init=init)
-    topic_vectors = np.maximum(0.0, rep.back_map(result.centroids))
+    fit = fcm_fit(rep.codes, cfg.fcm, init=init)
     topics = []
     warnings = []
-    for i, mu in enumerate(topic_vectors):
+    for i, mu in enumerate(rep.back_map(fit.centroids)):
         if not np.any(mu > 0):
             warnings.append(f"topic {i} is degenerate: all weights zero")
         words, warn = extract_top_words(mu, vocab, cfg.top_n)
         if warn:
             warnings.append(f"topic {i}: {warn}")
         topics.append(words)
-    topic_set = TopicSet(topics, cfg.method, asdict(cfg), warnings)
-    return DetectionResult(topic_set, result, topic_vectors, rep)
+    return TopicSet(topics, cfg.method, asdict(cfg), warnings), fit
 
 
-def detect(D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig) -> DetectionResult:
+def detect(
+    D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig
+) -> tuple[Representation, TopicSet, FcmResult]:
     if D.n_docs < cfg.c:  # checked before represent trains anything
         raise TooFewPointsError(f"{D.n_docs} points < {cfg.c} clusters")
-    return cluster_topics(represent(D, cfg), vocab, cfg)
+    rep = represent(D, cfg)
+    return rep, *cluster_topics(rep, vocab, cfg)
 
 
 def save_topic_set(topic_set: TopicSet, path) -> None:

@@ -143,11 +143,11 @@ def test_criterion_7_planted_topic_recovery(tmp_path):
                 fcm=FcmConfig(c=3, f=1.1, max_iter=1000, eps=0.005),
                 train=train, top_n=10, seed=seed,
             )
-            result = topics.detect(dtm, vocab, cfg)
-            ok, _ = topic_recovery(result.topic_set, sets, min_fraction=0.8)
+            _, topic_set, _ = topics.detect(dtm, vocab, cfg)
+            ok, _ = topic_recovery(topic_set, sets, min_fraction=0.8)
             results[method].append(ok)
             if ok:
-                recovered_sets.append((sets, result.topic_set))
+                recovered_sets.append((sets, topic_set))
     assert sum(results["dfcm"]) >= 4, results["dfcm"]
     assert sum(results["efcm"]) >= 4, results["efcm"]
 

@@ -410,6 +410,9 @@ def test_removed_optimizer_flags_are_rejected(capsys):
     {"clusters": [0]},
     {"clusters": [True]},
     {"epochs": [1.5]},
+    {"methods": ["efcm", "efcm"]},
+    {"clusters": [2, 2]},
+    {"epochs": [1, 1]},
 ])
 def test_compare_section_checked_before_inputs_are_read(tmp_path, compare):
     # The input paths do not exist: reading them first would be a data error.
@@ -687,6 +690,20 @@ def test_evaluate_creates_its_output_directory(corpus_dir, tmp_path):
     assert len(json.loads(out.read_text())["per_topic"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_rejects_a_non_finite_embedding_value(tmp_path, caplog, value):
+    # A NaN would reach coherence.json, which strict JSON readers reject.
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text(f"topic0word00 1 0\ntopic0word01 {value} 1\ntopic0word02 0 1\n")
+    (tmp_path / "topics.json").write_text(_topics_text())
+    out = tmp_path / "coherence.json"
+    rc = main(["evaluate", "--topics", str(tmp_path / "topics.json"),
+               "--embeddings", str(embeddings), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert f"{embeddings}: line 2: non-finite value" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bad", ["corpus", "stopwords", "vocabulary", "matrix", "topics", "embeddings", "config"]
 )
@@ -952,15 +969,16 @@ def test_compare_rejects_a_bad_unscored_embedding_line_before_any_cell(
     lines = (corpus_dir / "embeddings.txt").read_text().splitlines()
     dim = int(lines[0].split()[1])
     lines += [f"unscored{i} {' '.join(['0'] * dim)}" for i in range(100)]
-    lines.append(f"unscored {' '.join(['x'] * dim)}")
-    embeddings = tmp_path / "embeddings.txt"
-    embeddings.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "sweep"
-    cfg = _write_config(tmp_path / "cfg.json", artifacts, out, compare={"clusters": [2, 3]},
-                        paths={"embeddings": str(embeddings)})
-    assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
-    assert f"{embeddings}: line {len(lines)}: non-numeric value" in caplog.text
-    assert list(out.iterdir()) == []
+    for value, error in [("x", "non-numeric value"), ("nan", "non-finite value")]:
+        embeddings = tmp_path / value / "embeddings.txt"
+        embeddings.parent.mkdir()
+        embeddings.write_text("\n".join([*lines, f"unscored {' '.join([value] * dim)}"]) + "\n")
+        out = embeddings.parent / "sweep"
+        cfg = _write_config(embeddings.parent / "cfg.json", artifacts, out,
+                            compare={"clusters": [2, 3]}, paths={"embeddings": str(embeddings)})
+        assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_DATA
+        assert f"{embeddings}: line {len(lines) + 1}: {error}" in caplog.text
+        assert list(out.iterdir()) == []
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -96,6 +96,8 @@ def reference_load_word_vectors(path):
                 raise MalformedLineError(
                     f"{path}: line {lineno}: non-numeric value ({exc})", lineno
                 ) from exc
+            if not np.isfinite(vectors[term]).all():
+                raise MalformedLineError(f"{path}: line {lineno}: non-finite value", lineno)
     if dim is None or not vectors:
         raise MalformedLineError(f"{path}: embedding file is empty")
     return vectors
@@ -138,7 +140,8 @@ def assert_chunked_load_matches_reference(path, caplog, words=None):
 
 
 _TERMS = ["a", "b", "c", "d", "e", "ä", "日本", "1", "x_y"]
-_GOOD_VALUES = ["0", "1", "-0", "+1.5", "-2.25e-3", "nan", "-nan", "inf", "1e400", "5e-324"]
+_GOOD_VALUES = ["0", "1", "-0", "+1.5", "-2.25e-3", "5e-324"]
+_NON_FINITE = ["nan", "-nan", "inf", "1e400"]  # numbers that no embedding may hold
 _ODD_VALUES = ["1_0", "١٢", "１", "x", "0x10", "1e"]  # loadtxt takes none
 _SEPARATORS = [" ", "  ", "\t", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
 _LONG = [f"w{i} {i} 1" for i in range(1, 71)]  # 70 lines; chunks end after 64
@@ -151,7 +154,7 @@ def _with_line(lines, lineno, text):
 @st.composite
 def embedding_texts(draw):
     dim = draw(st.integers(0, 3))
-    value = st.sampled_from(_GOOD_VALUES) | st.sampled_from(_ODD_VALUES)
+    value = st.sampled_from(_GOOD_VALUES) | st.sampled_from(_ODD_VALUES + _NON_FINITE)
     term = st.sampled_from(_TERMS)
     line = st.one_of(
         st.tuples(term, st.lists(value, min_size=dim, max_size=dim)),
@@ -202,11 +205,14 @@ def test_filtered_load_matches_line_loop(tmp_path, caplog, text, words):
     *[(_with_line(_LONG, n, f"w{n} x 1"), n) for n in (64, 65, 66)],
     ("2 0\na\nb\n", 1),
     ("a\nb\n", 1),
+    ("a 1 2\nb nan 4\n", 2),
+    ("a 1 2\na inf 4\n", None),  # a repeated term is skipped unparsed
+    *[(_with_line(_LONG, n, f"w{n} 1e400 1"), n) for n in (64, 65)],
 ], ids=["underscore-arabic-digits", "duplicate-in-chunk", "duplicate-across-chunks",
         "blank-lines", "crlf", "no-final-newline", "header", "header-short-line",
         "tab", "space", "form-feed", "file-separator", "next-line", "no-break-space",
         "ideographic-space", "bad-line-64", "bad-line-65", "bad-line-66", "zero-dim-header",
-        "zero-dim-terms"])
+        "zero-dim-terms", "nan", "inf-duplicate", "overflow-64", "overflow-65"])
 def test_chunked_load_examples(tmp_path, caplog, text, error_line):
     path = tmp_path / "vec.txt"
     path.write_bytes(text.encode("utf-8"))

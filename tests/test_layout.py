@@ -1,9 +1,9 @@
 """The package ships only what runs.
 
 Every top-level function, class and method in src/dfcm_topics/ has a user
-in the package or in perfbench/, and every function that the traced
-benchmark wraps by name exists. Both checks read the source; neither runs
-the benchmark.
+in the package or in perfbench/, every name a module imports is read by that
+module, and every function that the traced benchmark wraps by name exists.
+The checks read the source; none runs the benchmark.
 """
 
 import ast
@@ -63,6 +63,32 @@ def test_every_package_definition_is_used_by_the_package_or_the_benchmark():
         if name not in used
     ]
     assert not unused, f"defined in src/dfcm_topics/, used by neither it nor perfbench/: {unused}"
+
+
+def _unused_imports(tree):
+    """Names an import binds that the module never reads."""
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_package_import_is_used():
+    # __init__.py imports to re-export, so its imports have no reader.
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in _trees(PACKAGE).items() if path.name != "__init__.py"
+        for name in _unused_imports(tree)
+    ]
+    assert not unused, f"imported in src/dfcm_topics/ but never read: {unused}"
+
+
+def test_unused_import_check_flags_only_unread_names():
+    tree = ast.parse("import os\nimport a.b\nfrom c import d as e, f\nos.sep\na.b\nf()\n")
+    assert _unused_imports(tree) == ["e"]
 
 
 def test_every_function_the_traced_benchmark_wraps_exists():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,15 +77,15 @@ def _pipeline_cfg(method, seed, epochs=15):
 class TestEfcmPipeline:
     def test_planted_recovery(self):
         sets, vocab, dtm, _ = planted_matrix(0)
-        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 0))
-        ok, fractions = topic_recovery(result.topic_set, sets)
+        _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 0))
+        ok, fractions = topic_recovery(topic_set, sets)
         assert ok, f"per-topic matched fractions {fractions}"
 
     def test_nonnegative_weights(self):
         sets, vocab, dtm, _ = planted_matrix(1)
-        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 1))
-        assert np.all(result.topic_vectors >= 0)
-        for topic in result.topic_set.topics:
+        _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 1))
+        assert all(w > 0 for topic in topic_set.topics for _, w in topic)
+        for topic in topic_set.topics:
             assert all(w >= 0 for _, w in topic)
 
     def test_smallest_instance(self):
@@ -93,20 +96,20 @@ class TestEfcmPipeline:
         cfg = topics.PipelineConfig(
             "efcm", p=1, c=1, fcm=FcmConfig(c=1, f=1.1), top_n=10, seed=0
         )
-        result = topics.detect(dtm, vocab, cfg)
-        assert len(result.topic_set.topics) == 1
+        _, topic_set, _ = topics.detect(dtm, vocab, cfg)
+        assert len(topic_set.topics) == 1
 
     def test_fcm_fixed_point_consistency(self):
         # Rerunning FCM from the returned centroids barely moves M.
         sets, vocab, dtm, _ = planted_matrix(2)
         cfg = _pipeline_cfg("efcm", 2)
-        result = topics.detect(dtm, vocab, cfg)
+        _, _, fit = topics.detect(dtm, vocab, cfg)
         rerun = fcm.fcm_fit(
             topics.represent(dtm, cfg).codes,
             FcmConfig(c=3, f=1.1, max_iter=1000, eps=cfg.fcm.eps),
-            init=result.fcm_result.centroids,
+            init=fit.centroids,
         )
-        delta = np.linalg.norm(rerun.memberships - result.fcm_result.memberships)
+        delta = np.linalg.norm(rerun.memberships - fit.memberships)
         assert delta < cfg.fcm.eps
 
 
@@ -120,13 +123,28 @@ def test_cluster_topics_rejects_nonfinite_codes():
         topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
 
 
+def test_cluster_topics_result_does_not_keep_the_representation_alive():
+    # What cluster_topics returns must not hold the back-map, and through it
+    # a DFCM model, once the caller drops the representation.
+    def representation(codes):
+        basis = np.eye(codes.shape[1])  # referenced only by the back-map
+        return topics.Representation(codes, lambda C: C @ basis), weakref.ref(basis)
+
+    rep, basis = representation(np.random.default_rng(0).normal(size=(20, 2)))
+    topic_set, fit = topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
+    assert len(topic_set.topics) == len(fit.centroids) == 3
+    del rep
+    gc.collect()
+    assert basis() is None
+
+
 class TestDfcmPipeline:
     def test_planted_recovery(self):
         sets, vocab, dtm, _ = planted_matrix(0)
-        result = topics.detect(dtm, vocab, _pipeline_cfg("dfcm", 0))
-        ok, fractions = topic_recovery(result.topic_set, sets)
+        _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("dfcm", 0))
+        ok, fractions = topic_recovery(topic_set, sets)
         assert ok, f"per-topic matched fractions {fractions}"
-        assert np.all(result.topic_vectors >= 0)
+        assert all(w > 0 for topic in topic_set.topics for _, w in topic)
 
     def test_single_topic_degenerate_count(self):
         sets, vocab, dtm, _ = planted_matrix(3, n_docs=90)
@@ -134,26 +152,26 @@ class TestDfcmPipeline:
         cfg = topics.PipelineConfig(
             "dfcm", p=2, c=1, fcm=FcmConfig(c=1, f=1.1), train=train, top_n=10, seed=3
         )
-        result = topics.detect(dtm, vocab, cfg)
-        assert len(result.topic_set.topics) == 1
+        _, topic_set, _ = topics.detect(dtm, vocab, cfg)
+        assert len(topic_set.topics) == 1
 
     def test_serialization_round_trip(self, tmp_path):
         sets, vocab, dtm, _ = planted_matrix(4)
-        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 4))
+        _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 4))
         path = tmp_path / "topics.json"
-        topics.save_topic_set(result.topic_set, path)
+        topics.save_topic_set(topic_set, path)
         loaded = topics.load_topic_set(path)
-        assert loaded.method == result.topic_set.method
-        assert loaded.topics == result.topic_set.topics
+        assert loaded.method == topic_set.method
+        assert loaded.topics == topic_set.topics
 
     def test_end_to_end_determinism(self):
         sets, vocab, dtm, _ = planted_matrix(5)
         cfg = _pipeline_cfg("dfcm", 5, epochs=3)
-        a = topics.detect(dtm, vocab, cfg)
-        b = topics.detect(dtm, vocab, cfg)
-        assert a.topic_set.topics == b.topic_set.topics
+        _, a_topics, a_fit = topics.detect(dtm, vocab, cfg)
+        _, b_topics, b_fit = topics.detect(dtm, vocab, cfg)
+        assert a_topics.topics == b_topics.topics
         np.testing.assert_array_equal(
-            a.fcm_result.memberships, b.fcm_result.memberships
+            a_fit.memberships, b_fit.memberships
         )
 
 
@@ -177,16 +195,16 @@ class TestPermutationInvariance:
     def test_document_shuffle_preserves_topic_content(self):
         # EFCM's stages depend on the point multiset, not document order.
         sets, vocab, dtm, _ = planted_matrix(6)
-        result = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 6))
+        _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 6))
         rng = np.random.default_rng(0)
         perm = rng.permutation(dtm.n_docs)
         from dfcm_topics.textprep import DocTermMatrix
 
         shuffled = DocTermMatrix(dtm.matrix[perm])
-        result_p = topics.detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
+        _, topic_set_p, _ = topics.detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
         # Initialization samples points by index, so converged weights can
         # differ in the last digits; the recovered topic partition of the
         # planted vocabularies must not.
-        ok, _ = topic_recovery(result.topic_set, sets)
-        ok_p, _ = topic_recovery(result_p.topic_set, sets)
+        ok, _ = topic_recovery(topic_set, sets)
+        ok_p, _ = topic_recovery(topic_set_p, sets)
         assert ok and ok_p
