@@ -13,9 +13,8 @@ import numpy as np
 
 from . import coherence, textprep, topics
 from .autoencoder import TrainConfig, save_checkpoint
-from .errors import (ConfigError, DfcmError, NonFiniteInputError, NonFiniteLossError,
-                     TooFewPointsError)
-from .fcm import FcmConfig
+from .errors import ConfigError, DfcmError, NonFiniteInputError, NonFiniteLossError
+from .fcm import FcmConfig, check_cluster_count
 from .seeding import stage_seed
 
 log = logging.getLogger("dfcm_topics")
@@ -250,11 +249,12 @@ def cmd_compare(args) -> int:
                 if failure:
                     continue
                 try:
-                    if c > dtm.n_docs:  # the error detect raises before it trains
-                        raise TooFewPointsError(f"{dtm.n_docs} points < {c} clusters")
+                    check_cluster_count(dtm.n_docs, c)  # as detect checks before it trains
                     pipe_cfg = _pipeline_config({**group, "clusters": c}, group_seed)
                     topic_set, fit = topics.cluster_topics(rep, vocab, pipe_cfg)
                     _save_detection(rep, topic_set, fit, pipe_cfg, out / f"{method}_c{c}_e{epochs}")
+                    for warning in topic_set.warnings:
+                        log.warning("cell (%s, c=%d, epochs=%s): %s", method, c, epochs, warning)
                     report = coherence.evaluate(topic_set, vectors)
                     row["mean_score"] = f"{report.mean_score:.17g}"
                     row["topic_scores"] = ";".join(f"{s:.17g}" for _, s, _ in report.per_topic)

@@ -22,7 +22,7 @@ class CoherenceReport:
 
 def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
     """Parse a text embedding file: optional `count dim` header, then
-    one `term v1 ... v_dim` line per term, every value finite. Duplicate
+    `count` non-blank `term v1 ... v_dim` lines, every value finite. Duplicate
     terms keep the first occurrence. Every line is parsed and checked, but with
     `words` given only their vectors are kept. Kept vectors are copied out of
     their chunk's block, so no block outlives its chunk.
@@ -30,12 +30,13 @@ def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every term of the file, kept or not
     words = None if words is None else set(words)
-    dim = None
+    count = dim = None
+    found = 0  # non-blank vector lines, repeated terms included
     with open_text(path) as fh:
         fields = fh.readline().split()
         if len(fields) == 2 and all(p.isdecimal() for p in fields):
             try:
-                dim = int(fields[1])
+                count, dim = map(int, fields)
             except ValueError as exc:  # more digits than int() accepts
                 raise MalformedLineError.at(path, f"bad header ({exc})", 1) from exc
             if not dim:
@@ -48,8 +49,11 @@ def load_word_vectors(path, words=None) -> dict[str, np.ndarray]:
             if dim is None or not _take_block(lines, dim, vectors, seen, words):
                 dim = _take_lines(path, lines, lineno, dim, vectors, seen, words)
             lineno += len(lines)
+            found += sum(not line.isspace() for line in lines)
     if dim is None or not seen:
         raise MalformedLineError.at(path, "embedding file is empty")
+    if count is not None and count != found:
+        raise MalformedLineError.at(path, f"header says {count} vectors, found {found}")
     return vectors
 
 

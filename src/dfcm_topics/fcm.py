@@ -157,15 +157,26 @@ def _kmeans_pp_seed(X, xx, c: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
+def check_cluster_count(n: int, c: int) -> None:
+    """Clustering n points needs at least c of them."""
+    if n < c:
+        raise TooFewPointsError(f"{n} points < {c} clusters")
+
+
+def _points(X, c: int) -> np.ndarray:
+    """X as float64, checked finite and with at least c rows."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInputError("data matrix contains NaN or Inf")
+    check_cluster_count(X.shape[0], c)
+    return X
+
+
 def kmeans_init(X: np.ndarray, c: int, runs: int, seed: int) -> np.ndarray:
     """Best of `runs` k-means++/Lloyd runs by within-cluster SSE."""
     if runs < 1:
         raise ValueError("init_runs must be >= 1")
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInputError("data matrix contains NaN or Inf")
-    if X.shape[0] < c:
-        raise TooFewPointsError(f"{X.shape[0]} points < {c} clusters")
+    X = _points(X, c)
     rng = np.random.default_rng(seed)
     xx = np.sum(X**2, axis=1)
     d2 = np.empty((c, X.shape[0]))
@@ -229,22 +240,13 @@ def objective(X: np.ndarray, M: np.ndarray, Q: np.ndarray, f: float) -> float:
     return float(np.sum(M**f * _sq_distances(X, Q)))
 
 
-def fcm_fit(
-    X: np.ndarray, config: FcmConfig, init: np.ndarray | None = None
-) -> FcmResult:
-    """Alternate membership/centroid updates until t > T or ||dM||_F < eps.
+def fcm_fit(X: np.ndarray, config: FcmConfig, init: np.ndarray) -> FcmResult:
+    """Alternate membership/centroid updates from init until t > T or ||dM||_F < eps.
 
     The convergence check is skipped on the first iteration (there is no
-    previous membership matrix). Deterministic given config.seed.
+    previous membership matrix). Deterministic given init.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInputError("data matrix contains NaN or Inf")
-    if X.shape[0] < config.c:
-        raise TooFewPointsError(f"{X.shape[0]} points < {config.c} clusters")
-
-    if init is None:
-        init = kmeans_init(X, config.c, config.init_runs, config.seed)
+    X = _points(X, config.c)
     Q = np.asarray(init, dtype=np.float64)
     if Q.shape != (config.c, X.shape[1]):
         raise DimensionMismatchError(f"init shape {Q.shape} != {(config.c, X.shape[1])}")

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import svd as tsvd
-from .errors import DimensionMismatchError, MalformedLineError, TooFewPointsError
-from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
+from .errors import DimensionMismatchError, MalformedLineError
+from .fcm import FcmConfig, FcmResult, check_cluster_count, fcm_fit, kmeans_init
 from .seeding import stage_seed
 from .textprep import DocTermMatrix, Vocabulary, load_json, save_json
 
@@ -57,6 +57,12 @@ class TopicSet:
         if not (self.method in METHODS and isinstance(self.config, dict)
                 and isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise TypeError(f"method must be in {METHODS}, config a dict, warnings a str list")
+        for i, topic in enumerate(self.topics):  # TC-W2V would pair a repeated term with itself
+            seen = set()
+            for term, _ in topic:
+                if term in seen:
+                    raise TypeError(f"topic {i} repeats the term {term!r}")
+                seen.add(term)
 
 
 class Representation(NamedTuple):
@@ -66,12 +72,9 @@ class Representation(NamedTuple):
     train_trace: list[float] | None = None
 
 
-def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
-    """Top-n largest-weight terms, ties broken by the sorted vocabulary's order.
-
-    Only strictly positive weights qualify; a warning is returned when
-    fewer than n remain.
-    """
+def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int) -> list[tuple[str, float]]:
+    """Top-n largest-weight (term, weight) pairs, ties broken by the sorted
+    vocabulary's order. Only strictly positive weights qualify."""
     mu = np.asarray(mu).ravel()
     if mu.shape[0] != len(vocab):
         raise DimensionMismatchError(
@@ -79,11 +82,7 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int):
         )
     keep = np.flatnonzero(mu > 0)
     keep = keep[np.argsort(-mu[keep], kind="stable")[:n]]
-    words = [(vocab.terms[j], float(mu[j])) for j in keep]
-    warning = None
-    if len(words) < n:
-        warning = f"only {len(words)} strictly positive weights available"
-    return words, warning
+    return [(vocab.terms[j], float(mu[j])) for j in keep]
 
 
 def represent(D: DocTermMatrix, cfg: PipelineConfig) -> Representation:
@@ -102,24 +101,17 @@ def cluster_topics(
 ) -> tuple[TopicSet, FcmResult]:
     """Fuzzy c-means on the codes; map the centroids back and rank their positive words."""
     init = kmeans_init(rep.codes, cfg.fcm.c, cfg.fcm.init_runs, cfg.fcm.seed)
-    fit = fcm_fit(rep.codes, cfg.fcm, init=init)
-    topics = []
-    warnings = []
-    for i, mu in enumerate(rep.back_map(fit.centroids)):
-        if not np.any(mu > 0):
-            warnings.append(f"topic {i} is degenerate: all weights zero")
-        words, warn = extract_top_words(mu, vocab, cfg.top_n)
-        if warn:
-            warnings.append(f"topic {i}: {warn}")
-        topics.append(words)
+    fit = fcm_fit(rep.codes, cfg.fcm, init)
+    topics = [extract_top_words(mu, vocab, cfg.top_n) for mu in rep.back_map(fit.centroids)]
+    warnings = [f"topic {i}: only {len(words)} strictly positive weights available"
+                for i, words in enumerate(topics) if len(words) < cfg.top_n]
     return TopicSet(topics, cfg.method, asdict(cfg), warnings), fit
 
 
 def detect(
     D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig
 ) -> tuple[Representation, TopicSet, FcmResult]:
-    if D.n_docs < cfg.c:  # checked before represent trains anything
-        raise TooFewPointsError(f"{D.n_docs} points < {cfg.c} clusters")
+    check_cluster_count(D.n_docs, cfg.c)  # before represent trains anything
     rep = represent(D, cfg)
     return rep, *cluster_topics(rep, vocab, cfg)
 

@@ -47,7 +47,7 @@ def test_criterion_2_fcm_descent_and_kmeans_agreement():
     X, _, _ = blob_dataset()
     start = time.perf_counter()
     cfg = FcmConfig(c=3, f=2.0, max_iter=1000, eps=1e-6, seed=0)
-    res = fcm.fcm_fit(X, cfg)
+    res = fcm.fcm_fit(X, cfg, fcm.kmeans_init(X, cfg.c, cfg.init_runs, cfg.seed))
     elapsed = time.perf_counter() - start
     for prev, cur in zip(res.objective_trace, res.objective_trace[1:]):
         assert cur <= prev + 1e-10 * abs(prev)
@@ -64,7 +64,8 @@ def test_criterion_2_fcm_descent_and_kmeans_agreement():
 
 def test_criterion_3_hard_membership_limit():
     X, _, _ = blob_dataset()
-    res = fcm.fcm_fit(X, FcmConfig(c=3, f=1.001, max_iter=1000, eps=1e-6, seed=0))
+    cfg = FcmConfig(c=3, f=1.001, max_iter=1000, eps=1e-6, seed=0)
+    res = fcm.fcm_fit(X, cfg, fcm.kmeans_init(X, cfg.c, cfg.init_runs, cfg.seed))
     min_max = res.memberships.max(axis=0).min()
     assert min_max >= 0.99
     print(f"\nPASS criterion 3: f=1.001 memberships near-hard (min max = {min_max:.6f})")

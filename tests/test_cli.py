@@ -340,6 +340,27 @@ class TestCompare:
             f"error: {n_docs} points < {c} clusters" for c in (n_docs + 1, n_docs + 2)]
         assert not represent.called
 
+    def test_cell_logs_its_topic_warnings(self, corpus_dir, artifacts, tmp_path, monkeypatch,
+                                          caplog):
+        real = topics.represent
+
+        def non_positive(D, cfg):  # every back-mapped weight <= 0: no topic has a word
+            rep = real(D, cfg)
+            return rep._replace(back_map=lambda C: -abs(rep.back_map(C)))
+
+        monkeypatch.setattr(topics, "represent", non_positive)
+        out = tmp_path / "sweep"
+        cfg = _write_config(tmp_path / "cfg.json", artifacts, out,
+                            compare={"methods": ["efcm"], "clusters": [2, 3]},
+                            paths={"embeddings": str(corpus_dir / "embeddings.txt")})
+        assert main(["compare", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+        logged = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert logged == [
+            f"cell (efcm, c={c}, epochs=3): topic {i}: only 0 strictly positive weights available"
+            for c in (2, 3) for i in range(c)]
+        warnings = json.loads((out / "efcm_c3_e3" / "topics.json").read_text())["warnings"]
+        assert [f"cell (efcm, c=3, epochs=3): {w}" for w in warnings] == logged[2:]
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -702,6 +723,35 @@ def test_evaluate_rejects_a_non_finite_embedding_value(tmp_path, caplog, value):
     assert rc == cli.EXIT_DATA
     assert f"{embeddings}: line 2: non-finite value" in caplog.text
     assert not out.exists()
+
+
+def test_a_topic_repeating_a_term_is_a_data_error(corpus_dir, tmp_path, caplog):
+    # TC-W2V would pair the repeat with itself at cosine 1.
+    payload = json.loads(_topics_text())
+    words = payload["topics"][0]["words"]
+    words.append(dict(words[0]))
+    path = tmp_path / "topics.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "coherence.json"
+    rc = main(["evaluate", "--topics", str(path),
+               "--embeddings", str(corpus_dir / "embeddings.txt"), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert f"{path}: malformed content (topic 0 repeats the term 'topic0word00')" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, rc", [(5, cli.EXIT_DATA), (2, cli.EXIT_DATA), (3, cli.EXIT_OK)])
+def test_embedding_header_count_must_match_the_vector_lines(tmp_path, caplog, count, rc):
+    # Three non-blank vector lines, one a repeated term: a file cut short fails.
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text(f"{count} 2\ntopic0word00 1 0\n\ntopic0word01 0 1\ntopic0word00 1 1\n")
+    (tmp_path / "topics.json").write_text(_topics_text())
+    out = tmp_path / "coherence.json"
+    assert main(["evaluate", "--topics", str(tmp_path / "topics.json"),
+                 "--embeddings", str(embeddings), "--out", str(out)]) == rc
+    error = f"{embeddings}: header says {count} vectors, found 3"
+    assert (error in caplog.text) == (rc == cli.EXIT_DATA)
+    assert out.exists() == (rc == cli.EXIT_OK)
 
 
 @pytest.mark.parametrize(

@@ -62,13 +62,14 @@ class TestLoadWordVectors:
 def reference_load_word_vectors(path):
     """The whole-file line loop that the chunked loader must agree with."""
     vectors = {}
-    dim = None
+    count = dim = None
+    found = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if lineno == 1 and len(fields) == 2 and all(p.isdecimal() for p in fields):
                 try:
-                    dim = int(fields[1])
+                    count, dim = int(fields[0]), int(fields[1])
                 except ValueError as exc:
                     raise MalformedLineError(f"{path}: line 1: bad header ({exc})", 1) from exc
                 if not dim:
@@ -76,6 +77,7 @@ def reference_load_word_vectors(path):
                 continue
             if not fields:
                 continue
+            found += 1
             term, values = fields[0], fields[1:]
             if dim is None:
                 dim = len(values)
@@ -100,6 +102,8 @@ def reference_load_word_vectors(path):
                 raise MalformedLineError(f"{path}: line {lineno}: non-finite value", lineno)
     if dim is None or not vectors:
         raise MalformedLineError(f"{path}: embedding file is empty")
+    if count is not None and count != found:
+        raise MalformedLineError(f"{path}: header says {count} vectors, found {found}")
     return vectors
 
 
@@ -164,7 +168,8 @@ def embedding_texts(draw):
     )
     sep = draw(st.sampled_from(_SEPARATORS))
     lines = [x if isinstance(x, str) else sep.join([x[0], *x[1]]) for x in draw(st.lists(line))]
-    header = draw(st.sampled_from(["", f"{len(lines)} {dim}", "2 0", "3 2"]))
+    count = sum(1 for x in lines if x.strip())  # non-blank lines
+    header = draw(st.sampled_from(["", f"{count} {dim}", f"{len(lines)} {dim}", "2 0", "3 2"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(([header] if header else []) + lines)
     return text + draw(st.sampled_from([newline, ""]))

@@ -481,6 +481,11 @@ def test_fcm_fit_matches_reference_bit_for_bit(c, f, init):
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
 
+def seeded_fit(X, cfg):
+    """fcm_fit from the k-means++ centroids that cluster_topics seeds it with."""
+    return fcm.fcm_fit(X, cfg, fcm.kmeans_init(X, cfg.c, cfg.init_runs, cfg.seed))
+
+
 class TestFcmFit:
     def test_fixed_point_at_distinct_points(self):
         X = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -493,7 +498,7 @@ class TestFcmFit:
     def test_blobs_match_kmeans_oracle(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=2.0, max_iter=1000, eps=1e-6, seed=0)
-        res = fcm.fcm_fit(X, cfg)
+        res = seeded_fit(X, cfg)
         ours = res.memberships.argmax(axis=0)
         oracle = lloyd_oracle(X, 3, runs=10, seed=123)
         assert best_label_agreement(ours, oracle, 3) >= 0.95
@@ -501,20 +506,20 @@ class TestFcmFit:
     def test_objective_nonincreasing(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=2.0, max_iter=1000, eps=1e-6, seed=0)
-        trace = fcm.fcm_fit(X, cfg).objective_trace
+        trace = seeded_fit(X, cfg).objective_trace
         for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-10 * abs(prev)
 
     def test_near_hard_limit(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=1.01, max_iter=1000, eps=1e-6, seed=0)
-        res = fcm.fcm_fit(X, cfg)
+        res = seeded_fit(X, cfg)
         assert np.all(res.memberships.max(axis=0) >= 0.99)
 
     def test_hard_limit_argmax_is_nearest_centroid(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=1.001, max_iter=1000, eps=1e-6, seed=0)
-        res = fcm.fcm_fit(X, cfg)
+        res = seeded_fit(X, cfg)
         d2 = ((X[:, None, :] - res.centroids[None]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(
             res.memberships.argmax(axis=0), d2.argmin(axis=1)
@@ -523,7 +528,7 @@ class TestFcmFit:
     def test_convex_hull_containment(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=1.5, max_iter=100, eps=1e-6, seed=1)
-        res = fcm.fcm_fit(X, cfg)
+        res = seeded_fit(X, cfg)
         assert np.all(res.centroids >= X.min(axis=0) - 1e-12)
         assert np.all(res.centroids <= X.max(axis=0) + 1e-12)
 
@@ -550,7 +555,11 @@ class TestFcmFit:
     def test_nonfinite_input(self):
         X = np.array([[np.nan, 0.0], [1.0, 1.0]])
         with pytest.raises(NonFiniteInputError):
-            fcm.fcm_fit(X, fcm.FcmConfig(c=1))
+            fcm.fcm_fit(X, fcm.FcmConfig(c=1), np.zeros((1, 2)))
+
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPointsError, match="^2 points < 3 clusters$"):
+            fcm.fcm_fit(np.zeros((2, 2)), fcm.FcmConfig(c=3), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("init", [np.zeros((5, 2)), np.zeros((3, 3)), np.zeros(6)],
                              ids=["too-many-centroids", "wrong-width", "flat"])
@@ -570,8 +579,8 @@ class TestFcmFit:
     def test_determinism(self, blobs):
         X, _, _ = blobs
         cfg = fcm.FcmConfig(c=3, f=1.3, max_iter=100, eps=1e-7, seed=5)
-        a = fcm.fcm_fit(X, cfg)
-        b = fcm.fcm_fit(X, cfg)
+        a = seeded_fit(X, cfg)
+        b = seeded_fit(X, cfg)
         np.testing.assert_array_equal(a.memberships, b.memberships)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
@@ -579,7 +588,7 @@ class TestFcmFit:
 def test_nan_fuzzifier_raises_instead_of_nan_memberships():
     X = np.random.default_rng(0).normal(size=(30, 2))
     with pytest.raises(InvalidFuzzifierError):
-        fcm.fcm_fit(X, fcm.FcmConfig(c=3, f=float("nan")))
+        fcm.fcm_fit(X, fcm.FcmConfig(c=3, f=float("nan")), X[:3])
 
 
 @pytest.mark.parametrize("f", [float("nan"), 1.0, 0.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -21,22 +22,18 @@ def _vocab(terms):
 class TestExtractTopWords:
     def test_one_hot(self):
         vocab = _vocab(["a", "b", "c"])
-        words, warn = topics.extract_top_words(np.array([0.0, 1.0, 0.0]), vocab, 2)
-        assert words == [("b", 1.0)]
-        assert warn is not None  # fewer than n strictly positive weights
+        words = topics.extract_top_words(np.array([0.0, 1.0, 0.0]), vocab, 2)
+        assert words == [("b", 1.0)]  # fewer than n strictly positive weights
 
     def test_tie_breaks_lexicographically(self):
         vocab = _vocab(["b", "a", "c"])
-        words, _ = topics.extract_top_words(np.array([0.5, 0.5, 0.1]), vocab, 2)
+        words = topics.extract_top_words(np.array([0.5, 0.5, 0.1]), vocab, 2)
         assert [w for w, _ in words] == ["a", "b"]
 
     def test_sort_oracle(self):
         vocab = _vocab(["a", "b", "c", "d"])
-        words, warn = topics.extract_top_words(
-            np.array([0.1, 0.9, 0.5, 0.0]), vocab, 2
-        )
+        words = topics.extract_top_words(np.array([0.1, 0.9, 0.5, 0.0]), vocab, 2)
         assert words == [("b", 0.9), ("c", 0.5)]
-        assert warn is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -58,11 +55,7 @@ def reference_top_words(mu, vocab, n):
     """The full sort of every positive weight extract_top_words used to run: its oracle."""
     positive = [(float(mu[j]), vocab.terms[j]) for j in np.nonzero(mu > 0)[0]]
     positive.sort(key=lambda wt: (-wt[0], wt[1]))
-    words = [(term, weight) for weight, term in positive[:n]]
-    warning = None
-    if len(words) < n:
-        warning = f"only {len(words)} strictly positive weights available"
-    return words, warning
+    return [(term, weight) for weight, term in positive[:n]]
 
 
 def _pipeline_cfg(method, seed, epochs=15):
@@ -121,6 +114,57 @@ def test_cluster_topics_rejects_nonfinite_codes():
     rep = topics.Representation(codes, lambda C: C)
     with pytest.raises(NonFiniteInputError):
         topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
+
+
+def test_each_short_topic_gets_one_warning():
+    # Back-mapped rows: all negative, one positive weight of two, all positive.
+    codes = np.random.default_rng(0).normal(size=(20, 2))
+    rows = np.array([[-1.0, -2.0], [0.5, -1.0], [1.0, 2.0]])
+    rep = topics.Representation(codes, lambda C: rows)
+    topic_set, _ = topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
+    assert topic_set.topics == [[], [("a", 0.5)], [("b", 2.0), ("a", 1.0)]]
+    assert topic_set.warnings == [
+        "topic 0: only 0 strictly positive weights available",
+        "topic 1: only 1 strictly positive weights available",
+        "topic 2: only 2 strictly positive weights available",  # top_n is 10
+    ]
+
+
+def test_a_topic_with_top_n_positive_weights_gets_no_warning():
+    # With top_n 2, rows holding two or three positive weights are full topics.
+    codes = np.random.default_rng(0).normal(size=(20, 2))
+    rows = np.array([[-1.0, -2.0, -3.0], [0.5, -1.0, -1.0], [1.0, 2.0, -1.0], [1.0, 2.0, 3.0]])
+    rep = topics.Representation(codes, lambda C: rows)
+    cfg = dataclasses.replace(_pipeline_cfg("efcm", 0), top_n=2)
+    topic_set, _ = topics.cluster_topics(rep, _vocab(["a", "b", "c"]), cfg)
+    assert [len(words) for words in topic_set.topics] == [0, 1, 2, 2]
+    assert topic_set.warnings == [
+        "topic 0: only 0 strictly positive weights available",
+        "topic 1: only 1 strictly positive weights available",
+    ]
+
+
+def test_cluster_topics_seeds_fcm_once_through_the_topics_module(monkeypatch):
+    # The traced benchmark times seeding and fitting by wrapping these two names
+    # on the topics module; fcm_fit must not seed itself behind them.
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((name, args, kwargs, result))
+            return result
+        return call
+
+    monkeypatch.setattr(topics, "kmeans_init", recording("kmeans_init", fcm.kmeans_init))
+    monkeypatch.setattr(topics, "fcm_fit", recording("fcm_fit", fcm.fcm_fit))
+    monkeypatch.setattr(fcm, "kmeans_init", recording("fcm.kmeans_init", fcm.kmeans_init))
+    rep = topics.Representation(np.random.default_rng(0).normal(size=(20, 2)), lambda C: C)
+    topics.cluster_topics(rep, _vocab(["a", "b"]), _pipeline_cfg("efcm", 0))
+    assert [name for name, *_ in calls] == ["kmeans_init", "fcm_fit"]
+    (_, _, _, seeds), (_, args, kwargs, _) = calls
+    init = kwargs["init"] if "init" in kwargs else args[2]
+    assert init is seeds
 
 
 def test_cluster_topics_result_does_not_keep_the_representation_alive():
