@@ -188,11 +188,11 @@ TRAIN_DTYPE = np.float32
 class _Optimizer:
     """Adam, in place, one layer at a time.
 
-    Copies the layers' weights and biases into one flat TRAIN_DTYPE vector,
-    params, and rebinds each layer's arrays to views of it, which the layers
-    keep after training; m and v match it. grad is one block sized to the
-    largest layer, and grads holds each layer's (dW, db) views of its head,
-    which _backward fills and step(i) reads.
+    Casts each layer's weights and bias in place to C-contiguous TRAIN_DTYPE
+    arrays, which the layers keep after training; params, m and v hold each
+    layer's (weights, bias) pair. grad is one block sized to the largest
+    layer, and grads holds each layer's (dW, db) views of its head, which
+    _backward fills and step(i) reads.
     """
 
     BLOCK = 1 << 15  # elements per step block: the two scratch blocks stay in a 2 MB L2
@@ -200,47 +200,39 @@ class _Optimizer:
     def __init__(self, layers, cfg: TrainConfig):
         self.learning_rate = cfg.learning_rate
         self.t = 0
-        self._shapes = [layer.weights.shape for layer in layers]
-        sizes = [out_dim * (in_dim + 1) for out_dim, in_dim in self._shapes]
-        self._offsets = np.cumsum([0, *sizes])
-        # params is bound first, so the layers' old arrays are freed before m, v and grad exist.
-        self.params = np.concatenate(
-            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)], dtype=TRAIN_DTYPE)
-        for i, layer in enumerate(layers):
-            layer.weights, layer.bias = self._views(self.params[self._offsets[i] :], i)
-        self.grad = np.zeros(max(sizes), dtype=TRAIN_DTYPE)
-        self.grads = [self._views(self.grad, i) for i in range(len(layers))]
-        self.m = np.zeros(self._offsets[-1], dtype=TRAIN_DTYPE)
-        self.v = np.zeros_like(self.m)
-        self._scratch = np.empty((2, min(max(sizes), self.BLOCK)), dtype=TRAIN_DTYPE)
-
-    def _views(self, flat, i):
-        """Layer i's (weights, bias)-shaped views of the head of flat."""
-        out_dim, in_dim = self._shapes[i]
-        cut = out_dim * in_dim
-        return flat[:cut].reshape(out_dim, in_dim), flat[cut : cut + out_dim]
+        for layer in layers:
+            layer.weights, layer.bias = (np.ascontiguousarray(a, dtype=TRAIN_DTYPE)
+                                         for a in (layer.weights, layer.bias))
+        self.params = [(layer.weights, layer.bias) for layer in layers]
+        self.m = [tuple(np.zeros_like(a) for a in pair) for pair in self.params]
+        self.v = [tuple(np.zeros_like(a) for a in pair) for pair in self.params]
+        size = max(W.size + b.size for W, b in self.params)
+        self.grad = np.zeros(size, dtype=TRAIN_DTYPE)
+        self.grads = [(self.grad[: W.size].reshape(W.shape), self.grad[W.size : W.size + b.size])
+                      for W, b in self.params]
+        self._scratch = np.empty((2, min(size, self.BLOCK)), dtype=TRAIN_DTYPE)
 
     def step(self, i):
         """Update layer i from grads[i], block by block; bit-identical to a per-array update."""
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        slices = (self.params[lo:hi], self.grad[: hi - lo], self.m[lo:hi], self.v[lo:hi])
-        for start in range(0, hi - lo, self.BLOCK):
-            p, g, m, v = (a[start : start + self.BLOCK] for a in slices)
-            s1, s2 = self._scratch[:, : p.size]
-            m *= BETA1
-            np.multiply(g, 1.0 - BETA1, out=s1)
-            m += s1
-            v *= BETA2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - BETA2
-            v += s1
-            np.divide(v, 1.0 - BETA2**self.t, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += EPSILON
-            np.divide(m, 1.0 - BETA1**self.t, out=s2)
-            s2 *= self.learning_rate
-            s2 /= s1
-            p -= s2
+        for arrays in zip(self.params[i], self.grads[i], self.m[i], self.v[i]):
+            flat = [a.reshape(-1) for a in arrays]
+            for start in range(0, flat[0].size, self.BLOCK):
+                p, g, m, v = (a[start : start + self.BLOCK] for a in flat)
+                s1, s2 = self._scratch[:, : p.size]
+                m *= BETA1
+                np.multiply(g, 1.0 - BETA1, out=s1)
+                m += s1
+                v *= BETA2
+                np.multiply(g, g, out=s1)
+                s1 *= 1.0 - BETA2
+                v += s1
+                np.divide(v, 1.0 - BETA2**self.t, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += EPSILON
+                np.divide(m, 1.0 - BETA1**self.t, out=s2)
+                s2 *= self.learning_rate
+                s2 /= s1
+                p -= s2
 
 
 def _densify(X, dtype=np.float64):
@@ -267,8 +259,8 @@ def _train(layers, X, cfg, rng, rate):
     """Minibatch training loop shared by pretraining and fine-tuning.
 
     Above rate 0, layers is a denoising pair and every batch is corrupted
-    by _pair_masks. Trains in TRAIN_DTYPE and leaves the layers as views of
-    one flat TRAIN_DTYPE vector. Returns the per-epoch mean minibatch loss trace.
+    by _pair_masks. Trains in TRAIN_DTYPE and leaves each layer's arrays C-contiguous
+    TRAIN_DTYPE. Returns the per-epoch mean minibatch loss trace.
     """
     n = X.shape[0]
     opt = _Optimizer(layers, cfg)

@@ -115,11 +115,10 @@ def _pipeline_config(cfg: dict, seed: int) -> topics.PipelineConfig:
     for key, (section, f) in _FIELDS.items():
         kwargs[section][f.name] = cfg[key]
     try:
-        train = TrainConfig(**kwargs["train"])  # checked for EFCM runs too
         return topics.PipelineConfig(
             **kwargs[""],
             fcm=FcmConfig(**kwargs["fcm"]),
-            train=train if cfg["method"] == "dfcm" else None,
+            train=TrainConfig(**kwargs["train"]),  # checked for EFCM runs too
             seed=seed,
         )
     except (ValueError, DfcmError) as exc:

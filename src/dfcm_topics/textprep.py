@@ -191,7 +191,11 @@ def read_corpus_jsonl(path) -> list[dict]:
                 what = f"duplicate or empty document id {obj['id']!r}"
                 raise MalformedLineError.at(path, what, lineno)
             seen.add(doc_id)
-            text = str(obj["text"])
+            text = obj["text"]
+            if type(text) not in (str, int, float):  # not isinstance, which counts True as 1
+                what = f"text must be a string or a number, not {json.dumps(text)[:40]}"
+                raise MalformedLineError.at(path, what, lineno)
+            text = str(text)  # a number is read as its string
             if not text.isascii() and _SURROGATE_RE.search(text):
                 raise MalformedLineError.at(path, "text has a lone surrogate (not UTF-8)", lineno)
             docs.append({"id": doc_id, "text": text})

@@ -28,7 +28,7 @@ class PipelineConfig:
     p: int = 5
     c: int = 10
     fcm: FcmConfig = None  # its c is set from c, its seed derived from seed
-    train: ae.TrainConfig = None  # dfcm only; its seed derived from seed
+    train: ae.TrainConfig = None  # dfcm only (None for efcm); its seed derived from seed
     top_n: int = 10
     seed: int = 0
 
@@ -39,10 +39,8 @@ class PipelineConfig:
             raise ValueError("p, c and top_n must be >= 1")
         fcm_seed = stage_seed(self.seed, "fcm-init")
         self.fcm = replace(self.fcm or FcmConfig(), c=self.c, seed=fcm_seed)
-        if self.train is None and self.method == "dfcm":
-            self.train = ae.TrainConfig()
-        if self.train is not None:
-            self.train = replace(self.train, seed=stage_seed(self.seed, "train"))
+        train = replace(self.train or ae.TrainConfig(), seed=stage_seed(self.seed, "train"))
+        self.train = train if self.method == "dfcm" else None  # only DFCM trains
 
 
 @dataclass

@@ -237,8 +237,8 @@ class TestGradients:
 
 
 class TestOptimizer:
-    # 58 parameters fit in one step block; 58,740 span two blocks, the
-    # second one partial.
+    # 58 parameters fit in one step block; the 150 x 300 weights span two
+    # blocks, the second one partial.
     @pytest.mark.parametrize("dims", [(7, 5, 3), (300, 150, 90)])
     def test_flat_step_matches_per_array_update(self, dims):
         rng = np.random.default_rng(0)
@@ -250,7 +250,7 @@ class TestOptimizer:
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         cfg = ae.TrainConfig(learning_rate=1e-2)
         opt = ae._Optimizer(layers, cfg)
-        assert opt.params.size % opt.BLOCK != 0
+        assert all(a.size % opt.BLOCK for a in chain.from_iterable(opt.params))
         for t in range(1, 5):
             grads = [rng.normal(size=p.shape).astype(ae.TRAIN_DTYPE) for p in params]
             opt.t += 1
@@ -259,10 +259,11 @@ class TestOptimizer:
                     view[...] = grad
                 opt.step(i)
             reference_step(params, grads, moments, cfg, t)
-        assert np.array_equal(opt.params, _flat(params))
+        state = zip(*(chain.from_iterable(s) for s in (opt.params, opt.m, opt.v)))
+        for (p, m, v), param, moment in zip(state, params, moments, strict=True):
+            assert np.array_equal(p, param)
+            assert np.array_equal(m, moment[0]) and np.array_equal(v, moment[1])
         assert np.array_equal(_flat(a for l in layers for a in (l.weights, l.bias)), _flat(params))
-        assert np.array_equal(opt.m, _flat(m for m, _ in moments))
-        assert np.array_equal(opt.v, _flat(v for _, v in moments))
 
 
 class TestFusedStep:
@@ -300,7 +301,8 @@ class TestTrainingMemory:
 
         def init(opt, layers, cfg):
             real_init(opt, layers, cfg)
-            held.extend(weakref.ref(a) for a in (opt.grad, opt.m, opt.v, opt._scratch))
+            state = chain.from_iterable(opt.m + opt.v)
+            held.extend(weakref.ref(a) for a in (opt.grad, opt._scratch, *state))
 
         monkeypatch.setattr(ae._Optimizer, "__init__", init)
         tracemalloc.start()
@@ -309,7 +311,7 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [ref() is not None for ref in held] == [False] * 4
+        assert [ref() is not None for ref in held] == [False] * (2 + 4 * len(model.layers))
         assert peak < 14 * n_params
 
     def test_trained_model_costs_four_bytes_per_parameter(self):
@@ -361,7 +363,8 @@ class TestTrainDtype:
             seen["train"].extend(chain.from_iterable(grads))
 
         def step(opt, i):
-            seen["train"].extend([opt.params, opt.grad, opt.m, opt.v, opt._scratch])
+            seen["train"].extend([opt.grad, opt._scratch])
+            seen["train"].extend(chain.from_iterable(opt.params + opt.m + opt.v))
             real_step(opt, i)
 
         def infer(layers, H, dtype=np.float64):
@@ -480,7 +483,7 @@ class TestTraining:
         for layer, w0 in zip(model.layers, initial):
             assert not np.array_equal(layer.weights, w0)
 
-    def test_trained_weights_are_contiguous_views_that_round_trip(self, tmp_path):
+    def test_trained_weights_are_contiguous_and_round_trip(self, tmp_path):
         X = np.random.default_rng(0).normal(size=(16, 6))
         model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
         layers = list(model.layers)
@@ -491,8 +494,7 @@ class TestTraining:
             assert layer is before
             assert layer.weights.flags.c_contiguous and layer.bias.flags.c_contiguous
         params = [a for layer in model.layers for a in (layer.weights, layer.bias)]
-        flat = params[0].base
-        assert flat is not None and all(a.base is flat for a in params)
+        assert all(a.dtype == ae.TRAIN_DTYPE for a in params)  # and C-contiguous, as checked above
         ae.save_checkpoint(model, tmp_path / "model.bin", cfg, 0.0)
         for la, lb in zip(model.layers, ae.load_checkpoint(tmp_path / "model.bin").layers):
             assert np.array_equal(la.weights, lb.weights)
@@ -503,6 +505,34 @@ class TestTraining:
         for i, grad in enumerate(first + second):
             for other in (first + second)[i + 1 :] + params:
                 assert not np.shares_memory(grad, other)
+
+    def test_fine_tune_of_a_pretrained_model_keeps_its_arrays(self):
+        X = np.random.default_rng(0).normal(size=(16, 6))
+        model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
+        cfg = ae.TrainConfig(epochs=2, batch_size=8, seed=3)
+        ae.greedy_pretrain(X, model, cfg)
+        arrays = [(layer.weights, layer.bias) for layer in model.layers]
+        initial = [W.copy() for W, _ in arrays]
+        ae.fine_tune(X, model, cfg)
+        for layer, (W, b), w0 in zip(model.layers, arrays, initial):
+            assert layer.weights is W and layer.bias is b
+            assert not np.array_equal(W, w0)
+
+    def test_fortran_ordered_weights_train_like_their_c_ordered_copy(self):
+        """A float32 layer that is not C-contiguous is trained on a C-contiguous copy,
+        not through a reshape copy that step would update and drop."""
+        X = np.random.default_rng(0).normal(size=(16, 6))
+        fortran, c_order = (ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
+                            for _ in range(2))
+        for lf, lc in zip(fortran.layers, c_order.layers):
+            lf.weights = np.asfortranarray(lf.weights, dtype=ae.TRAIN_DTYPE)
+            lc.weights = np.ascontiguousarray(lc.weights, dtype=ae.TRAIN_DTYPE)
+        assert not fortran.layers[0].weights.flags.c_contiguous
+        cfg = ae.TrainConfig(epochs=2, batch_size=8, seed=3)
+        assert ae.fine_tune(X, fortran, cfg) == ae.fine_tune(X, c_order, cfg)
+        for lf, lc in zip(fortran.layers, c_order.layers):
+            assert np.array_equal(lf.weights, lc.weights)
+            assert np.array_equal(lf.bias, lc.bias)
 
     def test_smoke_full_pretrain_tiny(self):
         rng = np.random.default_rng(0)

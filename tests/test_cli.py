@@ -951,6 +951,20 @@ def test_lone_surrogate_in_corpus_text_is_a_data_error(tmp_path, caplog):
     assert not (out / "vocabulary.json").exists()
 
 
+@pytest.mark.parametrize("text, shown", [
+    (None, "null"), (True, "true"),
+    (["alpha", "beta"], '["alpha", "beta"]'), ({"a": 1}, '{"a": 1}'),
+], ids=["null", "boolean", "array", "object"])
+def test_corpus_text_that_is_no_string_or_number_is_a_data_error(tmp_path, caplog, text, shown):
+    corpus = tmp_path / "corpus.jsonl"
+    texts = ["word", 7, 2.5, text] + ["word"] * 10
+    corpus.write_text("".join(json.dumps({"id": i, "text": t}) + "\n" for i, t in enumerate(texts)))
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus), "--out-dir", str(out)]) == cli.EXIT_DATA
+    assert f"{corpus}: line 4: text must be a string or a number, not {shown}" in caplog.text
+    assert not (out / "vocabulary.json").exists()
+
+
 def test_lone_surrogate_vocabulary_term_is_a_data_error(artifacts, tmp_path, caplog):
     vocab = json.loads((artifacts / "vocabulary.json").read_text())
     vocab["terms"][-1] = "\ud800"  # sorts after every ASCII term

@@ -235,6 +235,13 @@ class TestRepresent:
             assert reps[0].train_trace == reps[1].train_trace
 
 
+def test_pipeline_config_trains_for_dfcm_only():
+    efcm, dfcm = (topics.PipelineConfig(m, train=TrainConfig(epochs=3), seed=2)
+                  for m in ("efcm", "dfcm"))
+    assert efcm.train is None
+    assert dfcm.train == TrainConfig(epochs=3, seed=topics.PipelineConfig(seed=2).train.seed)
+
+
 class TestPermutationInvariance:
     def test_document_shuffle_preserves_topic_content(self):
         # EFCM's stages depend on the point multiset, not document order.
