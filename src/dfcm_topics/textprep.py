@@ -35,9 +35,10 @@ _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)]
 def _clean(raw: str) -> str:
     """Lowered raw text without URL-like and @user tokens, letter runs collapsed.
 
-    Hashtags keep their '#'. Dropping before the collapse catches "wwww.x",
-    after it "htttp://x", so cleaning is a fixed point. Neither the drop nor
-    the collapse touches whitespace, so the tokens stay where they were.
+    Hashtags keep their '#'. Dropping before the collapse catches "www.x",
+    which it would make "ww.x", and after it "htttp://x", so cleaning is a
+    fixed point. Neither the drop nor the collapse touches whitespace, so
+    the tokens stay where they were.
     """
     text = _DROP_RE.sub("", raw.lower())
     return _DROP_RE.sub("", _REPEAT_RE.sub(r"\1\1", text))
@@ -140,10 +141,12 @@ def vectorize_tfidf(corpus: list[list[str]], vocab: Vocabulary) -> DocTermMatrix
     n_docs = len(corpus)
     df = np.array([vocab.doc_freq[term] for term in vocab.terms], dtype=np.float64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    index = vocab.index
-    ids = [[index[tok] for tok in tokens if tok in index] for tokens in corpus]
-    indptr = np.cumsum([0] + [len(row) for row in ids])
-    cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
+    starts = np.cumsum([0, *map(len, corpus)])  # each document's first token in the flat stream
+    tokens = itertools.chain.from_iterable(corpus)
+    ids = np.fromiter(map(vocab.index.get, tokens, itertools.repeat(-1)), np.int32, starts[-1])
+    kept = ids >= 0  # out-of-vocabulary tokens read -1
+    indptr = np.searchsorted(np.flatnonzero(kept), starts)  # kept tokens before each start
+    cols = ids[kept]
     mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
     dtm = DocTermMatrix(mat)  # repeated term ids become counts
     dtm.matrix.data *= idf[dtm.matrix.indices]
@@ -172,6 +175,14 @@ def load_stopwords(path) -> set[str]:
         return {line.strip() for line in fh if line.strip()}
 
 
+def _as_string(path, lineno, key, value) -> str:
+    """A corpus line's id or text: a string, or a number read as its string."""
+    if type(value) not in (str, int, float):  # not isinstance, which counts True as 1
+        what = f"{key} must be a string or a number, not {json.dumps(value)[:40]}"
+        raise MalformedLineError.at(path, what, lineno)
+    return str(value)
+
+
 def read_corpus_jsonl(path) -> list[dict]:
     """Read a JSON-lines corpus of {"id": ..., "text": ...} objects."""
     docs = []
@@ -186,16 +197,13 @@ def read_corpus_jsonl(path) -> list[dict]:
                 raise MalformedLineError.at(path, f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise MalformedLineError.at(path, "expected object with 'id' and 'text'", lineno)
-            doc_id = str(obj["id"])  # 5 and "5" are the same id
-            if obj["id"] is None or not doc_id or doc_id in seen:  # 0 is the id "0"
+            # 5 and "5" are the same id, and 0 is the id "0"; null is an empty id.
+            doc_id = None if obj["id"] is None else _as_string(path, lineno, "id", obj["id"])
+            if not doc_id or doc_id in seen:
                 what = f"duplicate or empty document id {obj['id']!r}"
                 raise MalformedLineError.at(path, what, lineno)
             seen.add(doc_id)
-            text = obj["text"]
-            if type(text) not in (str, int, float):  # not isinstance, which counts True as 1
-                what = f"text must be a string or a number, not {json.dumps(text)[:40]}"
-                raise MalformedLineError.at(path, what, lineno)
-            text = str(text)  # a number is read as its string
+            text = _as_string(path, lineno, "text", obj["text"])
             if not text.isascii() and _SURROGATE_RE.search(text):
                 raise MalformedLineError.at(path, "text has a lone surrogate (not UTF-8)", lineno)
             docs.append({"id": doc_id, "text": text})
@@ -337,6 +345,8 @@ def load_matrix(path) -> DocTermMatrix:
 
 def prepare_corpus(docs: list[dict], stopwords: set[str]):
     """Clean, tokenize, build vocabulary and vectorize in one pass."""
-    token_lists = [tokenize(_clean(d["text"])) for d in docs]  # '#' is in _STRIP_CHARS
+    distinct = {}  # one str per distinct token, shared by every token list
+    tokens = (tokenize(_clean(d["text"])) for d in docs)  # '#' is in _STRIP_CHARS
+    token_lists = [list(map(distinct.setdefault, toks, toks)) for toks in tokens]
     vocab = build_vocabulary(token_lists, stopwords)
     return vocab, vectorize_tfidf(token_lists, vocab)

@@ -138,8 +138,14 @@ def load_topic_set(path) -> TopicSet:
             raise MalformedLineError.at(path, f"word {w!r} needs a string term and a number weight")
         return w["term"], w["weight"]
 
+    def listed(value, what):
+        if not isinstance(value, list):
+            raise MalformedLineError.at(path, f"{what} must be a list, not {type(value).__name__}")
+        return value
+
     def build(payload):
-        topics = [[word(w) for w in t["words"]] for t in payload["topics"]]
+        topics = [[word(w) for w in listed(t["words"], f"topic {i}'s words")]
+                  for i, t in enumerate(listed(payload["topics"], "topics"))]
         return TopicSet(topics, payload["method"], payload["config"], payload["warnings"])
 
     return load_json(path, build)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,23 @@ def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
         raise RankTooLargeError(f"rank {p} exceeds min{A.shape}")
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
     return svd.TruncatedSvd(p, svd._fix_signs(Vt[:p].T), s[:p])
+
+
+def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabulary
+                              ) -> textprep.DocTermMatrix:
+    """vectorize_tfidf as it was with one term-id list per document: the oracle
+    of the flat id array that replaced those lists."""
+    n_docs = len(corpus)
+    df = np.array([vocab.doc_freq[term] for term in vocab.terms], dtype=np.float64)
+    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    index = vocab.index
+    ids = [[index[tok] for tok in tokens if tok in index] for tokens in corpus]
+    indptr = np.cumsum([0] + [len(row) for row in ids])
+    cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
+    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
+    dtm = textprep.DocTermMatrix(mat)  # repeated term ids become counts
+    dtm.matrix.data *= idf[dtm.matrix.indices]
+    return dtm
 
 
 def reconstruction_loss(model: ae.AutoencoderModel, X) -> float:

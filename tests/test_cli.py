@@ -740,6 +740,30 @@ def test_a_topic_repeating_a_term_is_a_data_error(corpus_dir, tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("topic_list, words, named", [
+    ("", None, "topics must be a list, not str"),
+    ({}, None, "topics must be a list, not dict"),
+    (None, {}, "topic 0's words must be a list, not dict"),
+    (None, "", "topic 0's words must be a list, not str"),
+], ids=["topics-empty-string", "topics-object", "words-object", "words-empty-string"])
+def test_a_topic_set_whose_lists_are_not_lists_is_a_data_error(corpus_dir, tmp_path, caplog,
+                                                              topic_list, words, named):
+    # An empty string or object used to load as no topics, or as an empty topic.
+    payload = json.loads(_topics_text())
+    if topic_list is not None:
+        payload["topics"] = topic_list
+    if words is not None:
+        payload["topics"][0]["words"] = words
+    path = tmp_path / "topics.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "coherence.json"
+    rc = main(["evaluate", "--topics", str(path),
+               "--embeddings", str(corpus_dir / "embeddings.txt"), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert f"{path}: {named}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count, rc", [(5, cli.EXIT_DATA), (2, cli.EXIT_DATA), (3, cli.EXIT_OK)])
 def test_embedding_header_count_must_match_the_vector_lines(tmp_path, caplog, count, rc):
     # Three non-blank vector lines, one a repeated term: a file cut short fails.
@@ -962,6 +986,19 @@ def test_corpus_text_that_is_no_string_or_number_is_a_data_error(tmp_path, caplo
     out = tmp_path / "vec"
     assert main(["vectorize", "--corpus", str(corpus), "--out-dir", str(out)]) == cli.EXIT_DATA
     assert f"{corpus}: line 4: text must be a string or a number, not {shown}" in caplog.text
+    assert not (out / "vocabulary.json").exists()
+
+
+@pytest.mark.parametrize("doc_id, shown", [
+    (True, "true"), ([1, 2], "[1, 2]"), ({"k": 1}, '{"k": 1}'),
+], ids=["boolean", "array", "object"])
+def test_corpus_id_that_is_no_string_or_number_is_a_data_error(tmp_path, caplog, doc_id, shown):
+    corpus = tmp_path / "corpus.jsonl"
+    ids = ["a", 7, 2.5, doc_id] + list(range(10, 20))
+    corpus.write_text("".join(json.dumps({"id": i, "text": "word"}) + "\n" for i in ids))
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus), "--out-dir", str(out)]) == cli.EXIT_DATA
+    assert f"{corpus}: line 4: id must be a string or a number, not {shown}" in caplog.text
     assert not (out / "vocabulary.json").exists()
 
 

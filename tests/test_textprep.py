@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
-from conftest import MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus
+from conftest import (MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus,
+                      reference_vectorize_tfidf)
 
 
 def collapse_oracle(token):
@@ -74,6 +75,17 @@ class TestCleanText:
             with pytest.raises(EmptyVocabularyError):
                 textprep.prepare_corpus([{"id": "0", "text": raw}], set())
         assert build.call_args.args[0] == [textprep.tokenize(reference_clean_text(raw))]
+
+    # The first drop pass takes "www.x" before the collapse makes it "ww.x";
+    # the second looks at the collapsed text, where "http" first appears in
+    # "htttp://x". "wwww.x" and "a@b" hold the literals but start no dropped token.
+    @pytest.mark.parametrize("raw, cleaned", [
+        ("a htttp://x b", "a b"), ("a www.x b", "a b"), ("a wwww.x b", "a ww.x b"),
+        ("a a@b b", "a a@b b"), ("a @@b #@x b", "a b"), ("hhttp://x y", "hhttp://x y"),
+        ("wwwx htttx", "wwx httx"),
+    ])
+    def test_drop_passes_around_the_collapse(self, raw, cleaned):
+        assert textprep.clean_text(raw) == cleaned == reference_clean_text(raw)
 
 
 def reference_clean_text(raw):
@@ -266,6 +278,57 @@ class TestMatchesReferenceLoops:
         assert_matches_reference(corpus, stopwords)
         # A vocabulary from the first half leaves later documents without a term.
         assert_matches_reference(corpus, stopwords, _unpruned_vocab(corpus[: len(corpus) // 2 + 1]))
+
+
+_WORDS = ["alpha", "beta", "gamma", "the", "of", "#tag", "sooo", "so", "www.x.y", "@bob",
+          "htttp://x", "beta!", "İ"]
+
+
+class TestPrepareCorpusMatchesOracle:
+    # Ten documents at least, since a term needs ten to be kept; the examples
+    # are an empty corpus and one whose only frequent terms are stopwords.
+    @settings(max_examples=50, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
+                          min_size=10, max_size=30),
+           stopwords=st.sets(st.sampled_from(["the", "of", "alpha"])))
+    @example(texts=[], stopwords=set())
+    @example(texts=["the of beta"] * 10 + ["gamma"], stopwords={"the", "of", "beta"})
+    def test_vocabulary_and_matrix_bits(self, texts, stopwords):
+        docs = [{"id": str(i), "text": t} for i, t in enumerate(texts)]
+        token_lists = [textprep.tokenize(textprep._clean(t)) for t in texts]
+        try:
+            vocab = textprep.build_vocabulary(token_lists, stopwords)
+        except EmptyVocabularyError as exc:  # an empty corpus, or no term kept
+            with pytest.raises(EmptyVocabularyError) as err:
+                textprep.prepare_corpus(docs, stopwords)
+            assert str(err.value) == str(exc)
+            return
+        got_vocab, got = textprep.prepare_corpus(docs, stopwords)
+        assert (got_vocab.terms, got_vocab.doc_freq, got_vocab.threshold) == (
+            vocab.terms, vocab.doc_freq, vocab.threshold)
+        got, want = got.matrix, reference_vectorize_tfidf(token_lists, vocab).matrix
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_traced_peak_per_token(self):
+        # 1,000 documents of 40 tokens drawn from 300 distinct words. With a
+        # string per token and per-document id lists the traced peak was about
+        # 106 bytes per token; with one string per distinct token and a flat
+        # id array it is about 39.
+        rng = np.random.default_rng(0)
+        words = [f"term{j:03d}" for j in range(300)]
+        n_docs, doc_len = 1000, 40
+        docs = [{"id": str(d), "text": " ".join(rng.choice(words, size=doc_len))}
+                for d in range(n_docs)]
+        tracemalloc.start()
+        try:
+            textprep.prepare_corpus(docs, set())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n_docs * doc_len
 
 
 def reference_save_matrix(dtm, path):
@@ -505,6 +568,12 @@ class TestReadCorpus:
         with pytest.raises(MalformedLineError, match="line 2: duplicate or empty") as err:
             textprep.read_corpus_jsonl(path)
         assert err.value.line_number == 2
+
+    def test_numeric_ids_read_as_their_string(self, tmp_path):
+        # 1.0 and 1 are two ids: a number is read through str(), not compared as a number.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 1, "text": "a"}\n{"id": 1.0, "text": "b"}\n{"id": 1e3, "text": "c"}\n')
+        assert [d["id"] for d in textprep.read_corpus_jsonl(path)] == ["1", "1.0", "1000.0"]
 
 
 class TestStopwords:

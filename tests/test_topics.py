@@ -59,9 +59,7 @@ def reference_top_words(mu, vocab, n):
 
 
 def _pipeline_cfg(method, seed, epochs=15):
-    train = None
-    if method == "dfcm":
-        train = TrainConfig(epochs=epochs, batch_size=256, learning_rate=1e-3)
+    train = TrainConfig(epochs=epochs, batch_size=256, learning_rate=1e-3)  # efcm drops it
     return topics.PipelineConfig(
         method, p=5, c=3, fcm=FcmConfig(c=3, f=1.1), train=train, top_n=10, seed=seed
     )
@@ -223,7 +221,7 @@ class TestRepresent:
     @pytest.mark.parametrize("method", ["efcm", "dfcm"])
     def test_codes_do_not_depend_on_c(self, method):
         _, vocab, dtm, _ = planted_matrix(7)
-        train = TrainConfig(epochs=2, batch_size=256) if method == "dfcm" else None
+        train = TrainConfig(epochs=2, batch_size=256)
         reps = [
             topics.represent(dtm, topics.PipelineConfig(method, p=5, c=c, train=train, seed=7))
             for c in (2, 3)
