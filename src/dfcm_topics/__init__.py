@@ -15,10 +15,12 @@ from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .svd import TruncatedSvd, back_project, project, truncated_svd
 from .textprep import (
     DocTermMatrix,
+    TokenStream,
     Vocabulary,
     build_vocabulary,
     clean_text,
     tokenize,
+    tokenize_corpus,
     vectorize_tfidf,
 )
 from .topics import PipelineConfig, TopicSet, cluster_topics, detect, represent

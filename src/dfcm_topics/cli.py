@@ -158,8 +158,7 @@ def cmd_vectorize(args) -> int:
     stopwords = textprep.load_stopwords(args.stopwords) if args.stopwords else set()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    docs = textprep.read_corpus_jsonl(args.corpus)
-    vocab, dtm = textprep.prepare_corpus(docs, stopwords)
+    vocab, dtm = textprep.prepare_corpus(args.corpus, stopwords)
     textprep.save_vocabulary(vocab, out / "vocabulary.json")
     textprep.save_matrix(dtm, out / "matrix.txt")
     print(f"documents: {dtm.n_docs}")

@@ -4,6 +4,7 @@ Turns raw documents into the sparse nonnegative document-term matrix
 consumed by both topic-detection pipelines.
 """
 
+import array
 import collections
 import contextlib
 import itertools
@@ -29,6 +30,7 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")  # JSON can hold "\ud800" alone; U
 _STRIP_CHARS = string.punctuation + "‘’“”…"
 ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
 WRITE_CHUNK = 16384  # matrix lines formatted per write
+IDF_CHUNK = 8192  # matrix entries weighted by idf per step
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
 
 
@@ -92,16 +94,43 @@ def frequency_threshold(n_docs: int) -> int:
     return max(10, n_docs // 1000)
 
 
-def build_vocabulary(corpus: list[list[str]], stopwords: set[str]) -> Vocabulary:
+@dataclass
+class TokenStream:
+    """A cleaned, tokenized corpus: document d's tokens are ids[starts[d]:starts[d + 1]],
+    ids of the distinct tokens in index, and doc_freq[i] documents hold token i."""
+
+    index: dict[str, int]  # in id order
+    ids: np.ndarray  # int32
+    starts: np.ndarray  # int64, one more than the documents
+    doc_freq: collections.Counter
+
+
+def tokenize_corpus(texts) -> TokenStream:
+    """Clean and tokenize each text into the id stream, counting document frequencies."""
+    index = collections.defaultdict()
+    index.default_factory = index.__len__  # a new token gets the next id
+    ids, starts, doc_freq = array.array("i"), array.array("q", [0]), collections.Counter()
+    for text in texts:
+        doc = list(map(index.__getitem__, tokenize(_clean(text))))  # '#' is in _STRIP_CHARS
+        ids.extend(doc)
+        starts.append(len(ids))
+        doc_freq.update(set(doc))
+    index.default_factory = None
+    return TokenStream(index, np.frombuffer(ids, np.int32), np.frombuffer(starts, np.int64),
+                       doc_freq)
+
+
+def build_vocabulary(stream: TokenStream, stopwords: set[str]) -> Vocabulary:
     """Build the pruned vocabulary of a tokenized corpus.
 
     Stopwords are removed first; the document-frequency threshold
     max(10, m // 1000) then applies to content terms only.
     """
-    if not corpus:
+    n_docs = len(stream.starts) - 1
+    if not n_docs:
         raise EmptyVocabularyError("corpus is empty")
-    threshold = frequency_threshold(len(corpus))
-    doc_freq = collections.Counter(itertools.chain.from_iterable(map(set, corpus)))
+    threshold = frequency_threshold(n_docs)
+    doc_freq = {t: stream.doc_freq[i] for t, i in stream.index.items()}
     kept = sorted(t for t, df in doc_freq.items() if df >= threshold and t not in stopwords)
     if not kept:
         raise EmptyVocabularyError(
@@ -132,24 +161,27 @@ class DocTermMatrix:
         return self.matrix.nnz
 
 
-def vectorize_tfidf(corpus: list[list[str]], vocab: Vocabulary) -> DocTermMatrix:
+def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> DocTermMatrix:
     """TF-IDF weight the corpus against a fixed vocabulary.
 
     tf is the raw in-document count, idf the smoothed ln((1+N)/(1+df)) + 1.
     Out-of-vocabulary tokens are ignored.
     """
-    n_docs = len(corpus)
+    n_docs = len(stream.starts) - 1
     df = np.array([vocab.doc_freq[term] for term in vocab.terms], dtype=np.float64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    starts = np.cumsum([0, *map(len, corpus)])  # each document's first token in the flat stream
-    tokens = itertools.chain.from_iterable(corpus)
-    ids = np.fromiter(map(vocab.index.get, tokens, itertools.repeat(-1)), np.int32, starts[-1])
-    kept = ids >= 0  # out-of-vocabulary tokens read -1
-    indptr = np.searchsorted(np.flatnonzero(kept), starts)  # kept tokens before each start
-    cols = ids[kept]
+    column = np.fromiter(map(vocab.index.get, stream.index, itertools.repeat(-1)), np.int32,
+                         len(stream.index))  # token id -> column, -1 outside the vocabulary
+    cols = column[stream.ids]
+    # A row pointer is a document's start less the dropped tokens before it;
+    # those are stopwords and rare terms, so their positions take little space.
+    indptr = stream.starts - np.searchsorted(np.flatnonzero(cols < 0), stream.starts)
+    cols = cols[cols >= 0]
     mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
     dtm = DocTermMatrix(mat)  # repeated term ids become counts
-    dtm.matrix.data *= idf[dtm.matrix.indices]
+    tf, cols = dtm.matrix.data, dtm.matrix.indices
+    for at in range(0, dtm.nnz, IDF_CHUNK):  # in place, and no idf array as long as the matrix
+        tf[at : at + IDF_CHUNK] *= idf[cols[at : at + IDF_CHUNK]]
     return dtm
 
 
@@ -183,16 +215,19 @@ def _as_string(path, lineno, key, value) -> str:
     return str(value)
 
 
-def read_corpus_jsonl(path) -> list[dict]:
-    """Read a JSON-lines corpus of {"id": ..., "text": ...} objects."""
-    docs = []
+def read_corpus_jsonl(path) -> list[str]:
+    """Read and check a JSON-lines corpus of {"id": ..., "text": ...} objects, ids
+    unique included, and return the texts only."""
+    texts = []
     seen = set()
+    # One decoder for the file: json.loads with a hook would build one per line.
+    decode = json.JSONDecoder(parse_constant=reject_non_finite).decode
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = decode(line)
             except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
                 raise MalformedLineError.at(path, f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
@@ -200,14 +235,14 @@ def read_corpus_jsonl(path) -> list[dict]:
             # 5 and "5" are the same id, and 0 is the id "0"; null is an empty id.
             doc_id = None if obj["id"] is None else _as_string(path, lineno, "id", obj["id"])
             if not doc_id or doc_id in seen:
-                what = f"duplicate or empty document id {obj['id']!r}"
+                what = f"duplicate or empty document id {json.dumps(obj['id'])[:40]}"
                 raise MalformedLineError.at(path, what, lineno)
             seen.add(doc_id)
             text = _as_string(path, lineno, "text", obj["text"])
             if not text.isascii() and _SURROGATE_RE.search(text):
                 raise MalformedLineError.at(path, "text has a lone surrogate (not UTF-8)", lineno)
-            docs.append({"id": doc_id, "text": text})
-    return docs
+            texts.append(text)
+    return texts
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -343,10 +378,10 @@ def load_matrix(path) -> DocTermMatrix:
     return DocTermMatrix(mat)
 
 
-def prepare_corpus(docs: list[dict], stopwords: set[str]):
-    """Clean, tokenize, build vocabulary and vectorize in one pass."""
-    distinct = {}  # one str per distinct token, shared by every token list
-    tokens = (tokenize(_clean(d["text"])) for d in docs)  # '#' is in _STRIP_CHARS
-    token_lists = [list(map(distinct.setdefault, toks, toks)) for toks in tokens]
-    vocab = build_vocabulary(token_lists, stopwords)
-    return vocab, vectorize_tfidf(token_lists, vocab)
+def prepare_corpus(path, stopwords: set[str]):
+    """Read a corpus file, build its vocabulary and vectorize it."""
+    texts = read_corpus_jsonl(path)
+    stream = tokenize_corpus(texts)
+    del texts  # freed once they are ids, before the matrix is built
+    vocab = build_vocabulary(stream, stopwords)
+    return vocab, vectorize_tfidf(stream, vocab)

@@ -38,6 +38,16 @@ def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabular
     return dtm
 
 
+def token_stream(corpus: list[list[str]]) -> textprep.TokenStream:
+    """tokenize_corpus over token lists joined into texts; each token must
+    come back from cleaning as itself."""
+    stream = textprep.tokenize_corpus(" ".join(tokens) for tokens in corpus)
+    tokens = list(stream.index)
+    got = [[tokens[i] for i in stream.ids[a:b]] for a, b in zip(stream.starts, stream.starts[1:])]
+    assert got == corpus
+    return stream
+
+
 def reconstruction_loss(model: ae.AutoencoderModel, X) -> float:
     """Full-data reconstruction MSE (dropout off)."""
     loss, _ = ae._mse_and_grad(ae._infer(model.layers, X), ae._densify(X))
@@ -64,8 +74,9 @@ def planted_corpus(seed, n_docs=300, n_sets=3, set_size=20, doc_len=15):
 
 def planted_matrix(seed, **kwargs):
     sets, docs, labels = planted_corpus(seed, **kwargs)
-    vocab = textprep.build_vocabulary(docs, set())
-    dtm = textprep.vectorize_tfidf(docs, vocab)
+    stream = token_stream(docs)
+    vocab = textprep.build_vocabulary(stream, set())
+    dtm = textprep.vectorize_tfidf(stream, vocab)
     return sets, vocab, dtm, labels
 
 

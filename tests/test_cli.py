@@ -964,6 +964,19 @@ def test_non_finite_json_number_is_a_data_error(corpus_dir, artifacts, tmp_path,
     assert f"{path}: invalid JSON (non-finite number {constant})" in caplog.text
 
 
+@pytest.mark.parametrize("line, constant", [
+    ('{"id": NaN, "text": "a"}', "NaN"), ('{"id": 2, "text": Infinity}', "Infinity"),
+    ('{"id": 2, "text": -Infinity}', "-Infinity"),
+])
+def test_non_finite_corpus_constant_is_a_data_error(tmp_path, caplog, line, constant):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f'{{"id": 1, "text": "a"}}\n{line}\n')
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus), "--out-dir", str(out)]) == cli.EXIT_DATA
+    assert f"{corpus}: line 2: invalid JSON (non-finite number {constant})" in caplog.text
+    assert not (out / "vocabulary.json").exists()
+
+
 def test_lone_surrogate_in_corpus_text_is_a_data_error(tmp_path, caplog):
     # json.dumps writes the lone surrogate as the JSON escape \ud800, which json.loads reads back.
     corpus = tmp_path / "corpus.jsonl"

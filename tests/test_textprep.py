@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import tempfile
 import threading
 import tracemalloc
 from unittest import mock
@@ -16,7 +17,7 @@ from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
 from conftest import (MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus,
-                      reference_vectorize_tfidf)
+                      reference_vectorize_tfidf, token_stream)
 
 
 def collapse_oracle(token):
@@ -69,12 +70,11 @@ class TestCleanText:
     ]), max_size=16).map("".join))
     def test_matches_per_token_reference(self, raw):
         assert textprep.clean_text(raw) == reference_clean_text(raw)
-        # prepare_corpus hands build_vocabulary the token lists it cleaned.
-        with mock.patch.object(textprep, "build_vocabulary",
-                               side_effect=EmptyVocabularyError("stop")) as build:
-            with pytest.raises(EmptyVocabularyError):
-                textprep.prepare_corpus([{"id": "0", "text": raw}], set())
-        assert build.call_args.args[0] == [textprep.tokenize(reference_clean_text(raw))]
+        # tokenize_corpus's id stream reads back the tokens of the cleaned text.
+        stream = textprep.tokenize_corpus([raw])
+        tokens = list(stream.index)
+        assert [tokens[i] for i in stream.ids] == textprep.tokenize(reference_clean_text(raw))
+        assert stream.starts.tolist() == [0, len(stream.ids)]
 
     # The first drop pass takes "www.x" before the collapse makes it "ww.x";
     # the second looks at the collapsed text, where "http" first appears in
@@ -131,23 +131,23 @@ class TestBuildVocabulary:
         # "energy" in 11 of 12 docs; "solar" in 9; threshold is 10.
         docs = [["energy", "solar"] for _ in range(9)]
         docs += [["energy"], ["energy"], ["wind"]]
-        vocab = textprep.build_vocabulary(docs, set())
+        vocab = textprep.build_vocabulary(token_stream(docs), set())
         assert vocab.terms == ["energy"]
         assert vocab.doc_freq == {"energy": 11}
         assert vocab.threshold == 10
 
     def test_stopwords_removed_before_threshold(self):
         docs = [["the", "energy"] for _ in range(12)]
-        vocab = textprep.build_vocabulary(docs, {"the"})
+        vocab = textprep.build_vocabulary(token_stream(docs), {"the"})
         assert vocab.terms == ["energy"]
 
     def test_empty_vocabulary_raises(self):
         with pytest.raises(EmptyVocabularyError):
-            textprep.build_vocabulary([["rare"]], set())
+            textprep.build_vocabulary(token_stream([["rare"]]), set())
 
     def test_terms_sorted_and_indexed(self):
         docs = [["b", "a"] for _ in range(10)]
-        vocab = textprep.build_vocabulary(docs, set())
+        vocab = textprep.build_vocabulary(token_stream(docs), set())
         assert vocab.terms == ["a", "b"]
         assert vocab.index == {"a": 0, "b": 1}
 
@@ -168,7 +168,7 @@ class TestVectorizeTfidf:
     def test_hand_oracle_3x3(self):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
-        dtm = textprep.vectorize_tfidf(corpus, vocab)
+        dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
         # Independent spreadsheet-style computation.
         idf = {t: math.log((1 + 3) / (1 + vocab.doc_freq[t])) + 1 for t in "abc"}
         expected = np.array(
@@ -183,27 +183,27 @@ class TestVectorizeTfidf:
     def test_ubiquitous_term_idf_is_one(self):
         corpus = [["x"], ["x"], ["x"]]
         vocab = _unpruned_vocab(corpus)
-        dtm = textprep.vectorize_tfidf(corpus, vocab)
+        dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
         np.testing.assert_allclose(dtm.matrix.toarray(), [[1.0], [1.0], [1.0]])
 
     def test_out_of_vocab_row_is_zero(self):
-        corpus = [["a"], ["zzz"]]
+        corpus = [["a"], ["z"]]
         vocab = _unpruned_vocab([["a"]])
-        dtm = textprep.vectorize_tfidf(corpus, vocab)
+        dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
         assert dtm.matrix[1].nnz == 0
 
     def test_nonnegative_and_no_stored_zeros(self):
         corpus = [["a", "b"], ["b", "c"], ["a", "c"]]
         vocab = _unpruned_vocab(corpus)
-        dtm = textprep.vectorize_tfidf(corpus, vocab)
+        dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
         assert np.all(dtm.matrix.data > 0)
 
     def test_permutation_stability(self):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
-        base = textprep.vectorize_tfidf(corpus, vocab).matrix.toarray()
+        base = textprep.vectorize_tfidf(token_stream(corpus), vocab).matrix.toarray()
         perm = [2, 0, 1]
-        shuffled = textprep.vectorize_tfidf([corpus[i] for i in perm], vocab)
+        shuffled = textprep.vectorize_tfidf(token_stream([corpus[i] for i in perm]), vocab)
         np.testing.assert_array_equal(shuffled.matrix.toarray(), base[perm])
 
 
@@ -245,15 +245,16 @@ def reference_tfidf(corpus, vocab):
 def assert_matches_reference(corpus, stopwords, vocab=None):
     """build_vocabulary (unless vocab is given) and vectorize_tfidf equal the
     reference loops exactly, errors included."""
+    stream = token_stream(corpus)
     if vocab is None:
         expected = reference_build_vocabulary(corpus, stopwords)
         if not expected[0]:
             with pytest.raises(EmptyVocabularyError):
-                textprep.build_vocabulary(corpus, stopwords)
+                textprep.build_vocabulary(stream, stopwords)
             return
-        vocab = textprep.build_vocabulary(corpus, stopwords)
+        vocab = textprep.build_vocabulary(stream, stopwords)
         assert (vocab.terms, vocab.doc_freq, vocab.threshold) == expected
-    got, want = textprep.vectorize_tfidf(corpus, vocab).matrix, reference_tfidf(corpus, vocab)
+    got, want = textprep.vectorize_tfidf(stream, vocab).matrix, reference_tfidf(corpus, vocab)
     assert got.shape == want.shape and got.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -294,41 +295,47 @@ class TestPrepareCorpusMatchesOracle:
     @example(texts=[], stopwords=set())
     @example(texts=["the of beta"] * 10 + ["gamma"], stopwords={"the", "of", "beta"})
     def test_vocabulary_and_matrix_bits(self, texts, stopwords):
-        docs = [{"id": str(i), "text": t} for i, t in enumerate(texts)]
-        token_lists = [textprep.tokenize(textprep._clean(t)) for t in texts]
-        try:
-            vocab = textprep.build_vocabulary(token_lists, stopwords)
-        except EmptyVocabularyError as exc:  # an empty corpus, or no term kept
-            with pytest.raises(EmptyVocabularyError) as err:
-                textprep.prepare_corpus(docs, stopwords)
-            assert str(err.value) == str(exc)
-            return
-        got_vocab, got = textprep.prepare_corpus(docs, stopwords)
+        with tempfile.TemporaryDirectory() as tmp:  # a fresh file per example
+            path = os.path.join(tmp, "corpus.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps({"id": i, "text": t}) + "\n" for i, t in enumerate(texts))
+            token_lists = [textprep.tokenize(textprep._clean(t)) for t in texts]
+            terms, doc_freq, threshold = reference_build_vocabulary(token_lists, stopwords)
+            if not terms:  # an empty corpus, or no term kept
+                what = (f"no term occurs in at least {threshold} documents" if texts
+                        else "corpus is empty")
+                with pytest.raises(EmptyVocabularyError, match=f"^{what}$"):
+                    textprep.prepare_corpus(path, stopwords)
+                return
+            got_vocab, got = textprep.prepare_corpus(path, stopwords)
         assert (got_vocab.terms, got_vocab.doc_freq, got_vocab.threshold) == (
-            vocab.terms, vocab.doc_freq, vocab.threshold)
+            terms, doc_freq, threshold)
+        vocab = textprep.Vocabulary(terms, doc_freq, threshold)
         got, want = got.matrix, reference_vectorize_tfidf(token_lists, vocab).matrix
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    def test_traced_peak_per_token(self):
-        # 1,000 documents of 40 tokens drawn from 300 distinct words. With a
-        # string per token and per-document id lists the traced peak was about
-        # 106 bytes per token; with one string per distinct token and a flat
-        # id array it is about 39.
+    def test_traced_peak_per_token(self, tmp_path):
+        # 1,000 documents of 40 tokens drawn from 300 distinct words, read from
+        # a file. Read as one dict per line, then one token list per document,
+        # the traced peak of read plus prepare was about 53 bytes per token; with
+        # the texts read alone and freed once they are ids, it is about 23.
         rng = np.random.default_rng(0)
         words = [f"term{j:03d}" for j in range(300)]
         n_docs, doc_len = 1000, 40
-        docs = [{"id": str(d), "text": " ".join(rng.choice(words, size=doc_len))}
-                for d in range(n_docs)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": d, "text": " ".join(rng.choice(words, size=doc_len))}) + "\n"
+            for d in range(n_docs)))
         tracemalloc.start()
         try:
-            textprep.prepare_corpus(docs, set())
+            textprep.prepare_corpus(path, set())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * n_docs * doc_len
+        assert peak < 30 * n_docs * doc_len
 
 
 def reference_save_matrix(dtm, path):
@@ -360,7 +367,7 @@ class TestSerialization:
     def test_matrix_round_trip(self, tmp_path):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
-        dtm = textprep.vectorize_tfidf(corpus, vocab)
+        dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
         path = tmp_path / "matrix.txt"
         textprep.save_matrix(dtm, path)
         loaded = textprep.load_matrix(path)
@@ -538,7 +545,7 @@ class TestSerialization:
 
     def test_vocabulary_round_trip(self, tmp_path):
         docs = [["b", "a"] for _ in range(10)]
-        vocab = textprep.build_vocabulary(docs, set())
+        vocab = textprep.build_vocabulary(token_stream(docs), set())
         path = tmp_path / "vocab.json"
         textprep.save_vocabulary(vocab, path)
         loaded = textprep.load_vocabulary(path)
@@ -559,21 +566,44 @@ class TestReadCorpus:
     def test_integer_id_zero_is_the_id_0(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": 0, "text": "a b"}\n{"id": 1, "text": "c"}\n')
-        assert [d["id"] for d in textprep.read_corpus_jsonl(path)] == ["0", "1"]
+        assert textprep.read_corpus_jsonl(path) == ["a b", "c"]
+        path.write_text('{"id": 0, "text": "a b"}\n{"id": "0", "text": "c"}\n')
+        with pytest.raises(MalformedLineError, match='line 2: duplicate or empty document id "0"$'):
+            textprep.read_corpus_jsonl(path)
 
     @pytest.mark.parametrize("empty", ['""', "null"])
     def test_empty_or_null_id_is_named(self, tmp_path, empty):
         path = tmp_path / "corpus.jsonl"
         path.write_text(f'{{"id": 0, "text": "a"}}\n{{"id": {empty}, "text": "b"}}\n')
-        with pytest.raises(MalformedLineError, match="line 2: duplicate or empty") as err:
+        with pytest.raises(MalformedLineError) as err:
             textprep.read_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: duplicate or empty document id {empty}"
         assert err.value.line_number == 2
 
     def test_numeric_ids_read_as_their_string(self, tmp_path):
-        # 1.0 and 1 are two ids: a number is read through str(), not compared as a number.
+        # 1.0 and 1 are two ids: a number is read through str(), not compared as a
+        # number. So "1", "1.0" and "1000.0" each repeat one of them.
         path = tmp_path / "corpus.jsonl"
-        path.write_text('{"id": 1, "text": "a"}\n{"id": 1.0, "text": "b"}\n{"id": 1e3, "text": "c"}\n')
-        assert [d["id"] for d in textprep.read_corpus_jsonl(path)] == ["1", "1.0", "1000.0"]
+        lines = '{"id": 1, "text": "a"}\n{"id": 1.0, "text": "b"}\n{"id": 1e3, "text": "c"}\n'
+        path.write_text(lines)
+        assert textprep.read_corpus_jsonl(path) == ["a", "b", "c"]
+        for repeat in ['"1"', '"1.0"', '"1000.0"']:
+            path.write_text(lines + f'{{"id": {repeat}, "text": "d"}}\n')
+            with pytest.raises(MalformedLineError,
+                               match=f"line 4: duplicate or empty document id {repeat}$"):
+                textprep.read_corpus_jsonl(path)
+
+    @pytest.mark.parametrize("line, constant", [
+        ('{"id": NaN, "text": "a"}', "NaN"), ('{"id": 2, "text": Infinity}', "Infinity"),
+        ('{"id": 2, "text": -Infinity}', "-Infinity"),
+    ])
+    def test_non_finite_constant_is_named(self, tmp_path, line, constant):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f'{{"id": 1, "text": "a"}}\n{line}\n')
+        with pytest.raises(MalformedLineError) as err:
+            textprep.read_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: invalid JSON (non-finite number {constant})"
+        assert err.value.line_number == 2
 
 
 class TestStopwords:

@@ -12,7 +12,7 @@ from dfcm_topics.errors import DimensionMismatchError, NonFiniteInputError
 from dfcm_topics.fcm import FcmConfig
 from dfcm_topics.textprep import Vocabulary
 
-from conftest import planted_matrix, topic_recovery
+from conftest import planted_matrix, token_stream, topic_recovery
 
 
 def _vocab(terms):
@@ -83,7 +83,7 @@ class TestEfcmPipeline:
         vocab = _vocab(["a", "b"])
         from dfcm_topics.textprep import vectorize_tfidf
 
-        dtm = vectorize_tfidf([["a"], ["b"]], vocab)
+        dtm = vectorize_tfidf(token_stream([["a"], ["b"]]), vocab)
         cfg = topics.PipelineConfig(
             "efcm", p=1, c=1, fcm=FcmConfig(c=1, f=1.1), top_n=10, seed=0
         )
