@@ -14,6 +14,7 @@ from .coherence import CoherenceReport, evaluate, load_word_vectors, tc_w2v
 from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .svd import TruncatedSvd, back_project, project, truncated_svd
 from .textprep import (
+    CsrMatrix,
     DocTermMatrix,
     TokenStream,
     Vocabulary,

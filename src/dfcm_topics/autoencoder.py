@@ -12,10 +12,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
-from .textprep import save_json
+from .textprep import CsrMatrix, save_json
 
 DEFAULT_HIDDEN_DIMS = (500, 500, 2000)
 
@@ -138,7 +137,7 @@ def _forward(layers, X, drop_masks=None):
 
 
 def _infer(layers, X, dtype=np.float64):
-    """Dropout-free _forward over the rows of X (dense or sparse), INFER_BATCH rows and
+    """Dropout-free _forward over the rows of X (see _rows), INFER_BATCH rows and
     one layer at a time, so only the current layer's input and output are alive. Each
     block runs in float64, also on TRAIN_DTYPE layers, and is stored in dtype."""
     if X.shape[1] != layers[0].in_dim:
@@ -146,7 +145,7 @@ def _infer(layers, X, dtype=np.float64):
     out = np.empty((X.shape[0], layers[-1].out_dim), dtype=dtype)
     for start in range(0, X.shape[0], INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
-        A = _densify(X[rows])
+        A = _rows(X, rows)
         for layer in layers:
             A = _forward([layer], A)[0]
         out[rows] = A
@@ -235,10 +234,11 @@ class _Optimizer:
                 p -= s2
 
 
-def _densify(X, dtype=np.float64):
-    if sp.issparse(X):
-        X = X.toarray()
-    return np.asarray(X, dtype=dtype)
+def _rows(X, index, dtype=np.float64):
+    """The rows index picks of X as a dense dtype block. X is an array or a CsrMatrix;
+    a scipy sparse matrix is read through its toarray, so scipy is never imported."""
+    block = X.rows(index) if isinstance(X, CsrMatrix) else X[index]
+    return np.asarray(block.toarray() if hasattr(block, "toarray") else block, dtype)
 
 
 def _dropout_mask(shape, rate, rng):
@@ -270,7 +270,7 @@ def _train(layers, X, cfg, rng, rate):
             order = rng.permutation(n)
             epoch_losses = []
             for start in range(0, n, cfg.batch_size):
-                batch = _densify(X[order[start : start + cfg.batch_size]], TRAIN_DTYPE)
+                batch = _rows(X, order[start : start + cfg.batch_size], TRAIN_DTYPE)
                 masks = _pair_masks(batch, layers, rate, rng)
                 Y, caches = _forward(layers, batch, masks)
                 loss, dOut = _mse_and_grad(Y, batch)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankTooLargeError
+from .textprep import CsrMatrix
 
 OVERSAMPLE = 10
 POWER_ITERS = 7
@@ -18,9 +19,14 @@ class TruncatedSvd:
 
 
 def _as_operator(D):
-    if hasattr(D, "matrix"):
-        return D.matrix
-    return D
+    """D's matrix as an operand of @. A DocTermMatrix's CSR arrays are wrapped, not
+    copied, in scipy's csr_matrix, whose sparse products only EFCM needs."""
+    A = getattr(D, "matrix", D)
+    if isinstance(A, CsrMatrix):
+        import scipy.sparse  # here, so that the rest of the package never loads scipy
+
+        return scipy.sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    return A
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:

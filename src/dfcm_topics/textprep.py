@@ -1,7 +1,7 @@
 """Text cleaning, vocabulary construction and TF-IDF vectorization.
 
 Turns raw documents into the sparse nonnegative document-term matrix
-consumed by both topic-detection pipelines.
+consumed by both topic-detection pipelines, kept as plain CSR arrays.
 """
 
 import array
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyVocabularyError, MalformedLineError
 
@@ -30,7 +29,7 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")  # JSON can hold "\ud800" alone; U
 _STRIP_CHARS = string.punctuation + "‘’“”…"
 ENTRY_CHUNK = 256  # matrix lines per np.loadtxt call
 WRITE_CHUNK = 16384  # matrix lines formatted per write
-IDF_CHUNK = 8192  # matrix entries weighted by idf per step
+ROW_BLOCK = 2048  # about this many matrix entries per block of rows vectorize_tfidf sorts
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
 
 
@@ -140,13 +139,34 @@ def build_vocabulary(stream: TokenStream, stopwords: set[str]) -> Vocabulary:
 
 
 @dataclass
+class CsrMatrix:
+    """Canonical compressed sparse rows: row r's entries sit at indptr[r]:indptr[r + 1]
+    of indices and data, with the columns increasing, so no (row, col) repeats."""
+
+    data: np.ndarray  # float64
+    indices: np.ndarray  # int32
+    indptr: np.ndarray  # int64, one more than the rows
+    shape: tuple[int, int]
+
+    def rows(self, index) -> np.ndarray:
+        """Dense float64 block of the rows that index (a slice or an integer array) picks."""
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(self.shape[0]))
+        starts = self.indptr[index]
+        lengths = self.indptr[np.add(index, 1)] - starts
+        # The block's entry k, in picked row i, is stored at starts[i] + k - offsets[i].
+        offsets = np.cumsum(lengths) - lengths
+        at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        out = np.zeros((len(starts), self.shape[1]))
+        out[np.repeat(np.arange(len(starts)), lengths), self.indices[at]] = self.data[at]
+        return out
+
+
+@dataclass
 class DocTermMatrix:
-    """Sparse nonnegative TF-IDF matrix, documents x terms; canonicalizes the given CSR in place."""
+    """Sparse nonnegative TF-IDF matrix, documents x terms."""
 
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        self.matrix.sum_duplicates()  # sorts indices, sums repeats; a flag check once canonical
+    matrix: CsrMatrix
 
     @property
     def n_docs(self) -> int:
@@ -158,7 +178,7 @@ class DocTermMatrix:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return len(self.matrix.data)
 
 
 def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> DocTermMatrix:
@@ -177,12 +197,24 @@ def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> DocTermMatrix:
     # those are stopwords and rare terms, so their positions take little space.
     indptr = stream.starts - np.searchsorted(np.flatnonzero(cols < 0), stream.starts)
     cols = cols[cols >= 0]
-    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
-    dtm = DocTermMatrix(mat)  # repeated term ids become counts
-    tf, cols = dtm.matrix.data, dtm.matrix.indices
-    for at in range(0, dtm.nnz, IDF_CHUNK):  # in place, and no idf array as long as the matrix
-        tf[at : at + IDF_CHUNK] *= idf[cols[at : at + IDF_CHUNK]]
-    return dtm
+    # Each row's columns are sorted and their repeats become counts, one block of rows
+    # at a time, written over cols: only the weights are as long as the matrix besides.
+    # A block starts at the row holding entry k * ROW_BLOCK, so rows before the first are
+    # empty, and a block is empty where a row holds two such entries.
+    m, nnz, data, ptr = len(vocab), 0, np.empty(len(cols)), np.zeros_like(indptr)
+    firsts = np.searchsorted(indptr, np.arange(0, len(cols), ROW_BLOCK), "right") - 1
+    for first, end in zip(firsts, [*firsts[1:], n_docs]):
+        lengths = np.diff(indptr[first : end + 1])
+        keys = np.repeat(np.arange(end - first) * m, lengths) + cols[indptr[first] : indptr[end]]
+        keys.sort()
+        new = np.flatnonzero(np.diff(keys, prepend=-1))  # each distinct key's first place
+        tf, keys = np.diff(new, append=len(keys)), keys[new]
+        at = slice(nnz, nnz + len(keys))
+        cols[at] = keys % m
+        data[at] = tf * idf[cols[at]]
+        ptr[first + 1 : end + 1] = nnz + np.searchsorted(keys, np.arange(1, end - first + 1) * m)
+        nnz = at.stop
+    return DocTermMatrix(CsrMatrix(data[:nnz], cols[:nnz], ptr, (n_docs, m)))
 
 
 @contextlib.contextmanager
@@ -293,12 +325,17 @@ def save_matrix(dtm: DocTermMatrix, path) -> None:
     Header line `n_docs n_terms nnz`, then one `row col weight` line per
     stored entry in (row, col) order, weights printed with 17 significant digits.
     """
-    coo = dtm.matrix.tocoo()  # in stored order: the canonical CSR's is (row, col)
+    mat = dtm.matrix
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
-        for start in range(0, coo.nnz, WRITE_CHUNK):
-            at = slice(start, start + WRITE_CHUNK)
-            entries = zip(coo.row[at].tolist(), coo.col[at].tolist(), coo.data[at].tolist())
+        fh.write(f"{dtm.n_docs} {dtm.n_terms} {dtm.nnz}\n")
+        for start in range(0, dtm.nnz, WRITE_CHUNK):
+            stop = min(start + WRITE_CHUNK, dtm.nnz)
+            # Each row this chunk spans, repeated for its entries in the chunk.
+            first, last = np.searchsorted(mat.indptr, [start, stop - 1], "right") - 1
+            spans = np.diff(np.clip(mat.indptr[first : last + 2], start, stop))
+            rows = np.repeat(np.arange(first, last + 1), spans)
+            entries = zip(rows.tolist(), mat.indices[start:stop].tolist(),
+                          mat.data[start:stop].tolist())
             fh.write("".join(map("%d %d %.17g\n".__mod__, entries)))
 
 
@@ -340,6 +377,8 @@ def load_matrix(path) -> DocTermMatrix:
             raise MalformedLineError.at(path, exc, 1) from exc
         if min(n_docs, n_terms, nnz) < 0:
             raise MalformedLineError.at(path, "header counts must be >= 0", 1)
+        if n_terms > np.iinfo(np.int32).max:  # the column indices are stored as int32
+            raise MalformedLineError.at(path, f"n_terms {n_terms} exceeds 2147483647", 1)
         if nnz > n_docs * n_terms:
             raise MalformedLineError.at(path, f"nnz {nnz} exceeds {n_docs} x {n_terms}", 1)
         size = os.fstat(fh.fileno()).st_size  # known only for a seekable file, not a pipe
@@ -367,15 +406,20 @@ def load_matrix(path) -> DocTermMatrix:
         if bad.any():
             line = int(np.argmax(bad)) + 2
             raise MalformedLineError.at(path, what, line)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms))
-    if mat.nnz < nnz:  # scipy summed duplicate (row, col) entries into one
-        _, first = np.unique(np.stack([rows, cols], axis=1), axis=0, return_index=True)
-        dup = np.ones(nnz, dtype=bool)
-        dup[first] = False
-        line = int(np.argmax(dup)) + 2
-        where = f"({rows[line - 2]}, {cols[line - 2]})"
-        raise MalformedLineError.at(path, f"duplicate entry {where}", line)
-    return DocTermMatrix(mat)
+    # Canonical order is increasing (row, col), the order save_matrix writes: one
+    # comparison then, and a sort only for a file in another order.
+    if not ((rows[1:] > rows[:-1]) | (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])).all():
+        order = np.lexsort((cols, rows))  # stable, so repeats stay in file order
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if repeat.any():  # named at the earliest line repeating an entry before it
+            line = int(order[1:][repeat].min()) + 2
+            where = f"({entries['row'][line - 2]}, {entries['col'][line - 2]})"
+            raise MalformedLineError.at(path, f"duplicate entry {where}", line)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
+    matrix = CsrMatrix(np.ascontiguousarray(vals), cols.astype(np.int32), indptr, (n_docs, n_terms))
+    return DocTermMatrix(matrix)
 
 
 def prepare_corpus(path, stopwords: set[str]):

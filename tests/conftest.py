@@ -9,12 +9,27 @@ from dfcm_topics import svd, textprep
 from dfcm_topics.errors import RankTooLargeError
 
 
+def csr(A, shape=None) -> textprep.CsrMatrix:
+    """The package's CSR arrays of A, anything scipy.sparse.csr_matrix takes (a dense
+    array, a scipy matrix, a (data, indices, indptr) triple): scipy sums its repeats and
+    sorts its columns, and the arrays take the package's dtypes. A copy, so A stays."""
+    mat = sp.csr_matrix(A, shape=shape, dtype=np.float64, copy=True)
+    mat.sum_duplicates()
+    return textprep.CsrMatrix(mat.data, mat.indices.astype(np.int32),
+                              mat.indptr.astype(np.int64), mat.shape)
+
+
+def dense(X) -> np.ndarray:
+    """X, an array or a CsrMatrix, as a dense float64 array; scipy densifies a CsrMatrix,
+    so this is also the oracle of CsrMatrix.rows."""
+    if isinstance(X, textprep.CsrMatrix):
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).toarray()
+    return np.asarray(X, np.float64)
+
+
 def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
     """Exact dense decomposition: the test oracle for truncated_svd on small matrices."""
-    A = svd._as_operator(D)
-    if sp.issparse(A):
-        A = A.toarray()
-    A = np.asarray(A, dtype=np.float64)
+    A = dense(getattr(D, "matrix", D))
     if p > min(A.shape):
         raise RankTooLargeError(f"rank {p} exceeds min{A.shape}")
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -23,8 +38,8 @@ def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
 
 def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabulary
                               ) -> textprep.DocTermMatrix:
-    """vectorize_tfidf as it was with one term-id list per document: the oracle
-    of the flat id array that replaced those lists."""
+    """vectorize_tfidf as it was with one term-id list per document and scipy's CSR
+    build: the bit-for-bit oracle of the flat id array and of the numpy build."""
     n_docs = len(corpus)
     df = np.array([vocab.doc_freq[term] for term in vocab.terms], dtype=np.float64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
@@ -32,10 +47,9 @@ def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabular
     ids = [[index[tok] for tok in tokens if tok in index] for tokens in corpus]
     indptr = np.cumsum([0] + [len(row) for row in ids])
     cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
-    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))
-    dtm = textprep.DocTermMatrix(mat)  # repeated term ids become counts
-    dtm.matrix.data *= idf[dtm.matrix.indices]
-    return dtm
+    mat = csr((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))  # repeats summed
+    mat.data *= idf[mat.indices]
+    return textprep.DocTermMatrix(mat)
 
 
 def token_stream(corpus: list[list[str]]) -> textprep.TokenStream:
@@ -50,7 +64,7 @@ def token_stream(corpus: list[list[str]]) -> textprep.TokenStream:
 
 def reconstruction_loss(model: ae.AutoencoderModel, X) -> float:
     """Full-data reconstruction MSE (dropout off)."""
-    loss, _ = ae._mse_and_grad(ae._infer(model.layers, X), ae._densify(X))
+    loss, _ = ae._mse_and_grad(ae._infer(model.layers, X), dense(X))
     return loss
 
 
@@ -102,9 +116,10 @@ MATRIX_HEADER_CASES = [
     ("2 3 -1\n", "header counts must be >= 0"),
     ("2 3 100000000000000\n0 0 1\n", "nnz 100000000000000 exceeds 2 x 3"),
     ("1000 1000 1000\n0 0 1\n", "1000 entries cannot fit in 21 bytes"),
+    ("1 2147483648 1\n0 0 1\n", "n_terms 2147483648 exceeds 2147483647"),
 ]
 MATRIX_HEADER_IDS = ["two-fields", "negative-terms", "negative-docs", "negative-nnz",
-                     "nnz-past-shape", "nnz-past-file"]
+                     "nnz-past-shape", "nnz-past-file", "terms-past-int32"]
 
 
 def topic_recovery(topic_set, vocab_sets, min_fraction=0.8):

@@ -136,13 +136,10 @@ def test_criterion_7_planted_topic_recovery(tmp_path):
     for seed in seeds:
         sets, vocab, dtm, _ = planted_matrix(seed)
         for method in ("dfcm", "efcm"):
-            train = (
-                TrainConfig(epochs=15, batch_size=256) if method == "dfcm" else None
-            )
             cfg = topics.PipelineConfig(
                 method, p=5, c=3,
                 fcm=FcmConfig(c=3, f=1.1, max_iter=1000, eps=0.005),
-                train=train, top_n=10, seed=seed,
+                train=TrainConfig(epochs=15, batch_size=256), top_n=10, seed=seed,
             )
             _, topic_set, _ = topics.detect(dtm, vocab, cfg)
             ok, _ = topic_recovery(topic_set, sets, min_fraction=0.8)

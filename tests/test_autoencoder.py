@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dfcm_topics import autoencoder as ae
 from dfcm_topics.errors import DimensionMismatchError, MalformedLineError, NonFiniteLossError
 
-from conftest import reconstruction_loss
+from conftest import csr, dense, reconstruction_loss
 
 def backprop_gradients(model, batch):
     """Exact MSE-loss gradients for every weight and bias, encoder first."""
@@ -64,11 +64,11 @@ def reference_train(layers, X, cfg, rng, rate):
         layer.weights, layer.bias = (a.astype(ae.TRAIN_DTYPE) for a in (layer.weights, layer.bias))
     params = [a for layer in layers for a in (layer.weights, layer.bias)]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-    trace, t = [], 0
+    trace, t, X = [], 0, dense(X)
     for _ in range(cfg.epochs):
         order, losses = rng.permutation(X.shape[0]), []
         for start in range(0, X.shape[0], cfg.batch_size):
-            batch = ae._densify(X[order[start : start + cfg.batch_size]], ae.TRAIN_DTYPE)
+            batch = X[order[start : start + cfg.batch_size]].astype(ae.TRAIN_DTYPE)
             masks = ae._pair_masks(batch, layers, rate, rng)
             Y, caches = reference_forward(layers, batch, masks)
             loss, dOut = ae._mse_and_grad(Y, batch)
@@ -97,7 +97,7 @@ def reference_forward(layers, X, drop_masks=None):
 
 def reference_infer(layers, X, dtype=np.float64):
     """Whole-array dropout-free pass, the oracle for the blocked one."""
-    return reference_forward(layers, ae._densify(X))[0].astype(dtype)
+    return reference_forward(layers, dense(X))[0].astype(dtype)
 
 
 def _flat(arrays):
@@ -272,7 +272,7 @@ class TestFusedStep:
     @pytest.mark.parametrize("stage", ["pretrain", "fine_tune"])
     def test_matches_backprop_then_step(self, stage):
         """Stepping each layer as soon as backprop has passed it changes no bit."""
-        X = sp.random(24, 180, density=0.3, random_state=0, format="csr")
+        X = csr(sp.random(24, 180, density=0.3, random_state=0, format="csr"))
         cfg = ae.TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, dropout_rate=0.2, seed=4)
         fused, unfused = (ae.build_autoencoder(180, 3, seed=1, hidden_dims=(200, 8))
                           for _ in range(2))
@@ -342,7 +342,7 @@ class TestTrainDtype:
         input, which only training reads: that is stored in TRAIN_DTYPE."""
         X = np.random.default_rng(0).normal(size=(20, 12))
         if sparse:
-            X = sp.random(20, 12, density=0.5, random_state=0, format="csr")
+            X = csr(sp.random(20, 12, density=0.5, random_state=0, format="csr"))
         real_forward, real_backward, real_infer = ae._forward, ae._backward, ae._infer
         real_step = ae._Optimizer.step
         seen = {"train": [], "infer": [], "stored": [], "masks": 0}
@@ -395,7 +395,7 @@ class TestTrainDtype:
     def test_inference_on_trained_layers_matches_their_float64_copies(self, tmp_path):
         """float64 activations times float32 weights run in float64 on the same values, so
         encode and decode give the bits of the float64 model the checkpoint loads."""
-        X = sp.random(40, 12, density=0.5, random_state=0, format="csr")
+        X = csr(sp.random(40, 12, density=0.5, random_state=0, format="csr"))
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=2, batch_size=8, seed=4)
         ae.greedy_pretrain(X, model, cfg)
@@ -614,7 +614,7 @@ class TestMatchesReferenceForward:
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_pretrain_and_fine_tune(self, monkeypatch, rate):
-        X = sp.random(40, 12, density=0.5, random_state=0, format="csr")
+        X = csr(sp.random(40, 12, density=0.5, random_state=0, format="csr"))
         real_train = ae._train
 
         def run():
@@ -645,7 +645,7 @@ class TestMatchesReferenceForward:
         def same(a, b):
             return np.array_equal(a, b) if n <= ae.INFER_BATCH else np.allclose(a, b, atol=1e-12)
 
-        X = sp.random(n, 12, density=0.5, random_state=0, format="csr")
+        X = csr(sp.random(n, 12, density=0.5, random_state=0, format="csr"))
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=4)
         enc = model.encoder_layers[0]
@@ -657,7 +657,7 @@ class TestMatchesReferenceForward:
 
     def test_pretrain_layer_never_densifies_whole_input(self):
         n, d = 3 * ae.INFER_BATCH, 1000
-        X = sp.random(n, d, density=0.01, random_state=0, format="csr")
+        X = csr(sp.random(n, d, density=0.01, random_state=0, format="csr"))
         model = ae.build_autoencoder(d, 2, seed=0, hidden_dims=(4,))
         cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=0)
         tracemalloc.start()
@@ -677,7 +677,7 @@ class TestEncodeDecode:
         # Only a layer's input and output need to coexist: at most the 500-
         # and 2,000-wide activations of one block.
         n = ae.INFER_BATCH
-        X = sp.random(n, 700, density=0.01, random_state=0, format="csr")
+        X = csr(sp.random(n, 700, density=0.01, random_state=0, format="csr"))
         model = ae.build_autoencoder(700, 5, seed=0)
         tracemalloc.start()
         try:
@@ -699,8 +699,13 @@ class TestEncodeDecode:
         model = ae.build_autoencoder(30, 4, seed=0, hidden_dims=(8,))
         X = sp.random(11, 30, density=0.2, random_state=0, format="csr")
         dense = ae.encode(model, X.toarray())
-        sparse = ae.encode(model, X)
+        sparse = ae.encode(model, csr(X))
         np.testing.assert_allclose(sparse, dense, atol=1e-12)
+
+    def test_scipy_matrix_is_read_through_toarray(self):
+        model = ae.build_autoencoder(30, 4, seed=0, hidden_dims=(8,))
+        X = sp.random(11, 30, density=0.2, random_state=0, format="csr")
+        assert np.array_equal(ae.encode(model, X), ae.encode(model, csr(X)))
 
     def test_single_row_matches_batch(self):
         model = ae.build_autoencoder(12, 3, seed=5, hidden_dims=(6,))

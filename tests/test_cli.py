@@ -172,13 +172,43 @@ class TestDetect:
 _CLI = "import sys; from dfcm_topics.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _run_cli(argv, **env):
-    """The CLI in a child process that imports this checkout's package."""
+def _run_cli(argv, code=_CLI, **env):
+    """The CLI, or other code, in a child process that imports this checkout's package."""
     src = str(Path(dfcm_topics.__file__).parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+# Runs the CLI on its arguments, if any, after importing the package, and reports scipy.
+_SCIPY_CHECK = """\
+import sys
+import dfcm_topics
+from dfcm_topics.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print("scipy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, loads_scipy", [
+    ("import", False), ("vectorize", False), ("dfcm", False), ("efcm", True),
+])
+def test_only_efcm_imports_scipy(corpus_dir, artifacts, tmp_path, command, loads_scipy):
+    """Only EFCM's SVD needs scipy's sparse products; nothing else pays for its import."""
+    argv = {
+        "import": [],
+        "vectorize": ["vectorize", "--corpus", str(corpus_dir / "corpus.jsonl"),
+                      "--out-dir", str(tmp_path / "vec")],
+    }.get(command)
+    if argv is None:
+        cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method=command,
+                            train={"epochs": 1})
+        argv = ["detect", "--config", str(cfg), "--seed", "1"]
+    proc = _run_cli(argv, _SCIPY_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
 
 
 @pytest.mark.parametrize("method", ["efcm", "dfcm"])

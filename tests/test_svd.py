@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from dfcm_topics import svd
 from dfcm_topics.errors import DimensionMismatchError, RankTooLargeError
+from dfcm_topics.textprep import DocTermMatrix
 
-from conftest import dense_truncated_svd
+from conftest import csr, dense_truncated_svd
 
 
 class TestTruncatedSvd:
@@ -39,13 +40,26 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
 
     def test_sparse_input(self):
-        rng = np.random.default_rng(5)
         A = sp.random(50, 30, density=0.2, random_state=5, format="csr")
-        result = svd.truncated_svd(A, 4, seed=0)
+        result = svd.truncated_svd(DocTermMatrix(csr(A)), 4, seed=0)
         oracle = dense_truncated_svd(A.toarray(), 4)
         np.testing.assert_allclose(
             result.singular_values, oracle.singular_values, rtol=1e-6
         )
+
+    def test_doc_term_matrix_is_wrapped_and_gives_scipys_bits(self):
+        """Only the row pointers are copied, and the products, run by scipy over the same
+        canonical arrays, give the bits of a scipy matrix built by scipy, which is still
+        taken as it is."""
+        A = sp.random(60, 40, density=0.1, random_state=2, format="csr")
+        D = DocTermMatrix(csr(A))
+        op = svd._as_operator(D)
+        assert np.shares_memory(op.data, D.matrix.data)
+        assert np.shares_memory(op.indices, D.matrix.indices)
+        ours, scipys = svd.truncated_svd(D, 5, seed=3), svd.truncated_svd(A, 5, seed=3)
+        assert np.array_equal(ours.right_vectors, scipys.right_vectors)
+        assert np.array_equal(ours.singular_values, scipys.singular_values)
+        assert np.array_equal(svd.project(D, ours), svd.project(A, scipys))
 
     def test_rank_too_large(self):
         with pytest.raises(RankTooLargeError):

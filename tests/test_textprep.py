@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dfcm_topics import coherence, textprep, topics
 from dfcm_topics.errors import EmptyVocabularyError, MalformedLineError
 
-from conftest import (MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, planted_corpus,
+from conftest import (MATRIX_HEADER_CASES, MATRIX_HEADER_IDS, csr, dense, planted_corpus,
                       reference_vectorize_tfidf, token_stream)
 
 
@@ -178,19 +178,19 @@ class TestVectorizeTfidf:
                 [0.0, 1 * idf["b"], 1 * idf["c"]],
             ]
         )
-        np.testing.assert_allclose(dtm.matrix.toarray(), expected, rtol=1e-15)
+        np.testing.assert_allclose(dense(dtm.matrix), expected, rtol=1e-15)
 
     def test_ubiquitous_term_idf_is_one(self):
         corpus = [["x"], ["x"], ["x"]]
         vocab = _unpruned_vocab(corpus)
         dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
-        np.testing.assert_allclose(dtm.matrix.toarray(), [[1.0], [1.0], [1.0]])
+        np.testing.assert_allclose(dense(dtm.matrix), [[1.0], [1.0], [1.0]])
 
     def test_out_of_vocab_row_is_zero(self):
         corpus = [["a"], ["z"]]
         vocab = _unpruned_vocab([["a"]])
         dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
-        assert dtm.matrix[1].nnz == 0
+        assert np.diff(dtm.matrix.indptr).tolist() == [1, 0]
 
     def test_nonnegative_and_no_stored_zeros(self):
         corpus = [["a", "b"], ["b", "c"], ["a", "c"]]
@@ -201,10 +201,10 @@ class TestVectorizeTfidf:
     def test_permutation_stability(self):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
-        base = textprep.vectorize_tfidf(token_stream(corpus), vocab).matrix.toarray()
+        base = dense(textprep.vectorize_tfidf(token_stream(corpus), vocab).matrix)
         perm = [2, 0, 1]
         shuffled = textprep.vectorize_tfidf(token_stream([corpus[i] for i in perm]), vocab)
-        np.testing.assert_array_equal(shuffled.matrix.toarray(), base[perm])
+        np.testing.assert_array_equal(dense(shuffled.matrix), base[perm])
 
 
 def reference_build_vocabulary(corpus, stopwords):
@@ -239,7 +239,16 @@ def reference_tfidf(corpus, vocab):
             vals.append(tf * idf[j])
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
     mat.eliminate_zeros()
-    return mat
+    return csr(mat)
+
+
+def assert_canonical(mat):
+    """The package's CSR dtypes and row pointers, and columns increasing within each row."""
+    assert (mat.data.dtype, mat.indices.dtype, mat.indptr.dtype) == (np.float64, np.int32, np.int64)
+    assert mat.indptr[0] == 0 and mat.indptr[-1] == len(mat.data) == len(mat.indices)
+    assert len(mat.indptr) == mat.shape[0] + 1 and np.all(np.diff(mat.indptr) >= 0)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    assert np.all((np.diff(rows) > 0) | (np.diff(mat.indices) > 0))
 
 
 def assert_matches_reference(corpus, stopwords, vocab=None):
@@ -255,7 +264,8 @@ def assert_matches_reference(corpus, stopwords, vocab=None):
         vocab = textprep.build_vocabulary(stream, stopwords)
         assert (vocab.terms, vocab.doc_freq, vocab.threshold) == expected
     got, want = textprep.vectorize_tfidf(stream, vocab).matrix, reference_tfidf(corpus, vocab)
-    assert got.shape == want.shape and got.has_sorted_indices
+    assert got.shape == want.shape
+    assert_canonical(got)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -274,11 +284,14 @@ class TestMatchesReferenceLoops:
             min_size=1, max_size=40,
         ),
         stopwords=st.sets(st.sampled_from(["a", "the", "of"])),
+        block=st.sampled_from([1, 2, 5, textprep.ROW_BLOCK]),
     )
-    def test_repeated_tokens_empty_documents_and_stopwords(self, corpus, stopwords):
-        assert_matches_reference(corpus, stopwords)
-        # A vocabulary from the first half leaves later documents without a term.
-        assert_matches_reference(corpus, stopwords, _unpruned_vocab(corpus[: len(corpus) // 2 + 1]))
+    def test_repeated_tokens_empty_documents_and_stopwords(self, corpus, stopwords, block):
+        with mock.patch.object(textprep, "ROW_BLOCK", block):  # rows sorted a block at a time
+            assert_matches_reference(corpus, stopwords)
+            # A vocabulary from the first half leaves later documents without a term.
+            assert_matches_reference(corpus, stopwords,
+                                     _unpruned_vocab(corpus[: len(corpus) // 2 + 1]))
 
 
 _WORDS = ["alpha", "beta", "gamma", "the", "of", "#tag", "sooo", "so", "www.x.y", "@bob",
@@ -313,6 +326,7 @@ class TestPrepareCorpusMatchesOracle:
         vocab = textprep.Vocabulary(terms, doc_freq, threshold)
         got, want = got.matrix, reference_vectorize_tfidf(token_lists, vocab).matrix
         assert got.shape == want.shape
+        assert_canonical(got)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -321,7 +335,9 @@ class TestPrepareCorpusMatchesOracle:
         # 1,000 documents of 40 tokens drawn from 300 distinct words, read from
         # a file. Read as one dict per line, then one token list per document,
         # the traced peak of read plus prepare was about 53 bytes per token; with
-        # the texts read alone and freed once they are ids, it is about 23.
+        # the texts read alone and freed once they are ids, it is about 22, and
+        # about 21 with the package's own CSR build, which sorts its keys 2,048
+        # entries at a time (28 at 8,192 entries a block).
         rng = np.random.default_rng(0)
         words = [f"term{j:03d}" for j in range(300)]
         n_docs, doc_len = 1000, 40
@@ -338,9 +354,25 @@ class TestPrepareCorpusMatchesOracle:
         assert peak < 30 * n_docs * doc_len
 
 
+class TestCsrMatrix:
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 6), st.integers(1, 5)), density=st.floats(0, 1),
+           data=st.data())
+    def test_rows_match_scipys_dense_rows(self, shape, density, data):
+        X = csr(sp.random(*shape, density=density, random_state=data.draw(st.integers(0, 99))))
+        index = data.draw(st.lists(st.integers(0, max(shape[0] - 1, 0)), max_size=8)
+                          if shape[0] else st.just([]))
+        start, stop = data.draw(st.integers(0, shape[0])), data.draw(st.integers(0, shape[0]))
+        for picked in (np.array(index, dtype=np.int64), slice(start, stop), slice(None)):
+            got = X.rows(picked)
+            assert got.dtype == np.float64 and got.shape[1] == shape[1]
+            assert np.array_equal(got, dense(X)[picked])
+
+
 def reference_save_matrix(dtm, path):
     """The per-entry writer save_matrix used to run, one write per line: its oracle."""
-    coo = dtm.matrix.tocoo()
+    m = dtm.matrix
+    coo = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
@@ -357,8 +389,7 @@ class TestSerialization:
     ], ids=["empty-rows-unsorted-tiny-huge", "unsorted-row", "zero-nnz"])
     def test_matrix_written_in_chunks_as_per_entry(self, tmp_path, monkeypatch,
                                                     chunk, data, indices, indptr, shape):
-        mat = sp.csr_matrix((np.array(data, dtype=np.float64), indices, indptr), shape=shape)
-        dtm = textprep.DocTermMatrix(mat)
+        dtm = textprep.DocTermMatrix(csr((np.array(data), indices, indptr), shape=shape))
         reference_save_matrix(dtm, tmp_path / "want.txt")
         monkeypatch.setattr(textprep, "WRITE_CHUNK", chunk)
         textprep.save_matrix(dtm, tmp_path / "got.txt")
@@ -372,16 +403,61 @@ class TestSerialization:
         textprep.save_matrix(dtm, path)
         loaded = textprep.load_matrix(path)
         assert loaded.n_docs == 3 and loaded.n_terms == 3
-        np.testing.assert_array_equal(loaded.matrix.toarray(), dtm.matrix.toarray())
+        np.testing.assert_array_equal(dense(loaded.matrix), dense(dtm.matrix))
+
+    def test_traced_load_peak_per_entry(self, tmp_path):
+        # A canonical file, as save_matrix writes it. The parsed entries take 24 bytes
+        # each; scipy's build on top of them peaked at about 54 bytes per entry, and
+        # the package's CSR arrays, with one comparison for the order, at about 38.
+        rng = np.random.default_rng(0)
+        X = csr(sp.random(2000, 300, density=0.05, random_state=rng))
+        path = tmp_path / "matrix.txt"
+        textprep.save_matrix(textprep.DocTermMatrix(X), path)
+        tracemalloc.start()
+        try:
+            loaded = textprep.load_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.matrix.data, X.data)
+        assert peak < 40 * len(X.data)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                      st.integers(0, 8).map(lambda w: w / 4)), max_size=14))
+    def test_any_entry_order_loads_or_names_the_first_repeat(self, tmp_path, entries):
+        """Against scipy's build of the same triplets, and the first line that repeats
+        an earlier (row, col), found as np.unique's first occurrences: the oracles the
+        loader used before it built its own arrays."""
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"4 4 {len(entries)}\n" + "".join(f"{r} {c} {w}\n" for r, c, w in entries))
+        keys = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        repeat = np.ones(len(entries), dtype=bool)
+        repeat[first] = False
+        if repeat.any():
+            line = int(np.argmax(repeat)) + 2
+            r, c, _ = entries[line - 2]
+            with pytest.raises(MalformedLineError) as err:
+                textprep.load_matrix(path)
+            assert str(err.value) == f"{path}: line {line}: duplicate entry ({r}, {c})"
+            assert err.value.line_number == line
+            return
+        got = textprep.load_matrix(path).matrix
+        assert_canonical(got)
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        want = csr((vals, (rows, cols)), shape=(4, 4))
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_repeated_entry_is_summed_written_and_read_back(self, tmp_path):
-        mat = sp.csr_matrix((np.array([0.25, 2.0, 0.5]), [1, 0, 1], [0, 3, 3]), shape=(2, 2))
-        dtm = textprep.DocTermMatrix(mat)
-        assert dtm.matrix is mat and mat.has_canonical_format and dtm.nnz == 2
+        dtm = textprep.DocTermMatrix(csr(([0.25, 2.0, 0.5], [1, 0, 1], [0, 3, 3]), shape=(2, 2)))
+        assert dtm.nnz == 2
         path = tmp_path / "matrix.txt"
         textprep.save_matrix(dtm, path)
         assert path.read_text() == "2 2 2\n0 0 2\n0 1 0.75\n"
-        np.testing.assert_array_equal(textprep.load_matrix(path).matrix.toarray(),
+        np.testing.assert_array_equal(dense(textprep.load_matrix(path).matrix),
                                       [[2.0, 0.75], [0.0, 0.0]])
 
     @settings(max_examples=50, deadline=None,
@@ -394,11 +470,12 @@ class TestSerialization:
         entries = [entry for row in rows for entry in row]
         cols = np.array([col for col, _ in entries], dtype=np.int64)
         data = np.array([w / 4 for _, w in entries], dtype=np.float64)
-        mat = sp.csr_matrix((data, cols, indptr), shape=(len(rows), 4))
-        dense = mat.toarray()
+        mat = csr((data, cols, indptr), shape=(len(rows), 4))
         path = tmp_path / "matrix.txt"
         textprep.save_matrix(textprep.DocTermMatrix(mat), path)
-        np.testing.assert_array_equal(textprep.load_matrix(path).matrix.toarray(), dense)
+        loaded = textprep.load_matrix(path).matrix
+        assert_canonical(loaded)
+        np.testing.assert_array_equal(dense(loaded), dense(mat))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 12])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
@@ -407,12 +484,12 @@ class TestSerialization:
         path = tmp_path / "matrix.txt"
         path.write_bytes(((ending or "\n").join(lines) + ending).encode())
         monkeypatch.setattr(textprep, "ENTRY_CHUNK", chunk)
-        dense = textprep.load_matrix(path).matrix.toarray()
+        got = dense(textprep.load_matrix(path).matrix)
         expected = np.zeros((3, 4))
         for line in lines[1:]:
             r, c, v = line.split()
             expected[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(dense, expected)
+        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("chunk", [2, 1 << 12])
     @pytest.mark.parametrize("body, line, named", [
@@ -453,14 +530,14 @@ class TestSerialization:
         writer = threading.Thread(target=path.write_text, args=("2 2 2\n0 0 1\n1 1 2\n",))
         writer.start()
         try:
-            assert textprep.load_matrix(path).matrix.toarray().tolist() == [[1, 0], [0, 2]]
+            assert dense(textprep.load_matrix(path).matrix).tolist() == [[1, 0], [0, 2]]
         finally:
             writer.join()
 
     def test_header_nnz_at_its_bounds_is_accepted(self, tmp_path):
         path = tmp_path / "matrix.txt"
         path.write_text("1 2 2\n0 0 1\n0 1 1")  # nnz = n_docs * n_terms; 6 * nnz < 17 bytes
-        assert textprep.load_matrix(path).matrix.toarray().tolist() == [[1.0, 1.0]]
+        assert dense(textprep.load_matrix(path).matrix).tolist() == [[1.0, 1.0]]
 
     def test_extra_field_on_unterminated_last_line_is_named(self, tmp_path):
         path = tmp_path / "matrix.txt"
@@ -518,16 +595,16 @@ class TestSerialization:
             assert str(err.value).startswith(f"{path}: line 3: ")
         else:
             mat = textprep.load_matrix(path).matrix
-            assert mat.nnz == 3 and mat[parsed[0], parsed[1]] == parsed[2]
+            assert len(mat.data) == 3 and dense(mat)[parsed[0], parsed[1]] == parsed[2]
 
     def test_regular_entries_skip_the_line_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "entries.txt"
         path.write_text("3 3 3\n0 0 0.5\n1 2 3\n2 1 1e-3\n")
         monkeypatch.setattr(textprep, "ENTRY_CHUNK", 2)
         monkeypatch.setattr(textprep, "_parse_entries", mock.Mock(side_effect=AssertionError))
-        coo = textprep.load_matrix(path).matrix.tocoo()
-        assert coo.row.tolist() == [0, 1, 2] and coo.col.tolist() == [0, 2, 1]
-        assert coo.data.tolist() == [0.5, 3.0, 1e-3]
+        mat = textprep.load_matrix(path).matrix
+        assert mat.indptr.tolist() == [0, 1, 2, 3] and mat.indices.tolist() == [0, 2, 1]
+        assert mat.data.tolist() == [0.5, 3.0, 1e-3]
 
     def test_bad_line_in_last_chunk_reparses_only_that_chunk(self, tmp_path, monkeypatch):
         path = tmp_path / "matrix.txt"

@@ -12,7 +12,7 @@ from dfcm_topics.errors import DimensionMismatchError, NonFiniteInputError
 from dfcm_topics.fcm import FcmConfig
 from dfcm_topics.textprep import Vocabulary
 
-from conftest import planted_matrix, token_stream, topic_recovery
+from conftest import csr, dense, planted_matrix, token_stream, topic_recovery
 
 
 def _vocab(terms):
@@ -249,7 +249,7 @@ class TestPermutationInvariance:
         perm = rng.permutation(dtm.n_docs)
         from dfcm_topics.textprep import DocTermMatrix
 
-        shuffled = DocTermMatrix(dtm.matrix[perm])
+        shuffled = DocTermMatrix(csr(dense(dtm.matrix)[perm]))
         _, topic_set_p, _ = topics.detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
         # Initialization samples points by index, so converged weights can
         # differ in the last digits; the recovered topic partition of the
