@@ -236,7 +236,7 @@ class _Optimizer:
 
 def _rows(X, index, dtype=np.float64):
     """The rows index picks of X as a dense dtype block. X is an array or a CsrMatrix;
-    a scipy sparse matrix is read through its toarray, so scipy is never imported."""
+    another library's sparse matrix is read through its toarray."""
     block = X.rows(index) if isinstance(X, CsrMatrix) else X[index]
     return np.asarray(block.toarray() if hasattr(block, "toarray") else block, dtype)
 

@@ -150,15 +150,20 @@ class CsrMatrix:
 
     def rows(self, index) -> np.ndarray:
         """Dense float64 block of the rows that index (a slice or an integer array) picks."""
-        if isinstance(index, slice):
-            index = np.arange(*index.indices(self.shape[0]))
-        starts = self.indptr[index]
-        lengths = self.indptr[np.add(index, 1)] - starts
-        # The block's entry k, in picked row i, is stored at starts[i] + k - offsets[i].
-        offsets = np.cumsum(lengths) - lengths
-        at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-        out = np.zeros((len(starts), self.shape[1]))
-        out[np.repeat(np.arange(len(starts)), lengths), self.indices[at]] = self.data[at]
+        if isinstance(index, slice) and index.step in (None, 1):  # stored contiguously
+            start, stop, _ = index.indices(self.shape[0])
+            ptr = self.indptr[start : max(start, stop) + 1]
+            lengths, at = np.diff(ptr), slice(ptr[0], ptr[-1])
+        else:
+            if isinstance(index, slice):
+                index = np.arange(*index.indices(self.shape[0]))
+            starts = self.indptr[index]
+            lengths = self.indptr[np.add(index, 1)] - starts
+            # The block's entry k, in picked row i, is stored at starts[i] + k - offsets[i].
+            offsets = np.cumsum(lengths) - lengths
+            at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        out = np.zeros((len(lengths), self.shape[1]))
+        out[np.repeat(np.arange(len(lengths)), lengths), self.indices[at]] = self.data[at]
         return out
 
 
@@ -377,8 +382,9 @@ def load_matrix(path) -> DocTermMatrix:
             raise MalformedLineError.at(path, exc, 1) from exc
         if min(n_docs, n_terms, nnz) < 0:
             raise MalformedLineError.at(path, "header counts must be >= 0", 1)
-        if n_terms > np.iinfo(np.int32).max:  # the column indices are stored as int32
-            raise MalformedLineError.at(path, f"n_terms {n_terms} exceeds 2147483647", 1)
+        for name, count in (("n_docs", n_docs), ("n_terms", n_terms)):  # int32, as the columns
+            if count > np.iinfo(np.int32).max:
+                raise MalformedLineError.at(path, f"{name} {count} exceeds 2147483647", 1)
         if nnz > n_docs * n_terms:
             raise MalformedLineError.at(path, f"nnz {nnz} exceeds {n_docs} x {n_terms}", 1)
         size = os.fstat(fh.fileno()).st_size  # known only for a seekable file, not a pipe

@@ -117,9 +117,10 @@ MATRIX_HEADER_CASES = [
     ("2 3 100000000000000\n0 0 1\n", "nnz 100000000000000 exceeds 2 x 3"),
     ("1000 1000 1000\n0 0 1\n", "1000 entries cannot fit in 21 bytes"),
     ("1 2147483648 1\n0 0 1\n", "n_terms 2147483648 exceeds 2147483647"),
+    ("1000000000000 2 1\n0 0 1", "n_docs 1000000000000 exceeds 2147483647"),  # 23 bytes
 ]
 MATRIX_HEADER_IDS = ["two-fields", "negative-terms", "negative-docs", "negative-nnz",
-                     "nnz-past-shape", "nnz-past-file", "terms-past-int32"]
+                     "nnz-past-shape", "nnz-past-file", "terms-past-int32", "docs-past-int32"]
 
 
 def topic_recovery(topic_set, vocab_sets, min_fraction=0.8):

@@ -181,34 +181,40 @@ def _run_cli(argv, code=_CLI, **env):
                           text=True, timeout=300)
 
 
-# Runs the CLI on its arguments, if any, after importing the package, and reports scipy.
-_SCIPY_CHECK = """\
+# Runs the CLI on its arguments, if any, with scipy unimportable.
+_NO_SCIPY = """\
 import sys
-import dfcm_topics
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from dfcm_topics.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print("scipy" in sys.modules)
-sys.exit(code)
+sys.exit(main(sys.argv[1:]) if sys.argv[1:] else 0)
 """
 
 
-@pytest.mark.parametrize("command, loads_scipy", [
-    ("import", False), ("vectorize", False), ("dfcm", False), ("efcm", True),
+@pytest.mark.parametrize("command", [
+    "import", "vectorize", "dfcm", "efcm", "evaluate", "compare",
 ])
-def test_only_efcm_imports_scipy(corpus_dir, artifacts, tmp_path, command, loads_scipy):
-    """Only EFCM's SVD needs scipy's sparse products; nothing else pays for its import."""
+def test_commands_run_without_scipy(corpus_dir, artifacts, tmp_path, command):
+    """numpy is the package's only dependency: without scipy, every command runs."""
+    embeddings = str(corpus_dir / "embeddings.txt")
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run",
+                        method=command if command in ("dfcm", "efcm") else "efcm",
+                        train={"epochs": 1})
     argv = {
         "import": [],
         "vectorize": ["vectorize", "--corpus", str(corpus_dir / "corpus.jsonl"),
                       "--out-dir", str(tmp_path / "vec")],
-    }.get(command)
-    if argv is None:
-        cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method=command,
-                            train={"epochs": 1})
-        argv = ["detect", "--config", str(cfg), "--seed", "1"]
-    proc = _run_cli(argv, _SCIPY_CHECK)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+        "evaluate": ["evaluate", "--topics", str(tmp_path / "run" / "topics.json"),
+                     "--embeddings", embeddings, "--out", str(tmp_path / "report.json")],
+        "compare": ["compare", "--config", str(cfg), "--seed", "1"],
+    }.get(command, ["detect", "--config", str(cfg), "--seed", "1"])
+    if command == "evaluate":
+        assert main(["detect", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_OK
+    if command == "compare":
+        _write_config(cfg, artifacts, tmp_path / "run", train={"epochs": 1},
+                      compare={"methods": ["dfcm", "efcm"], "clusters": [3]},
+                      paths={"embeddings": embeddings})
+    proc = _run_cli(argv, _NO_SCIPY)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
 
 
 @pytest.mark.parametrize("method", ["efcm", "dfcm"])

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from dfcm_topics import svd
 from dfcm_topics.errors import DimensionMismatchError, RankTooLargeError
@@ -48,18 +52,27 @@ class TestTruncatedSvd:
         )
 
     def test_doc_term_matrix_is_wrapped_and_gives_scipys_bits(self):
-        """Only the row pointers are copied, and the products, run by scipy over the same
-        canonical arrays, give the bits of a scipy matrix built by scipy, which is still
-        taken as it is."""
+        """A DocTermMatrix is taken as it is: its products, summed from its own arrays,
+        give the bits of a scipy matrix built by scipy, which still goes through @. The
+        layouts they are summed through are built in blocks and freed on return."""
         A = sp.random(60, 40, density=0.1, random_state=2, format="csr")
         D = DocTermMatrix(csr(A))
-        op = svd._as_operator(D)
-        assert np.shares_memory(op.data, D.matrix.data)
-        assert np.shares_memory(op.indices, D.matrix.indices)
         ours, scipys = svd.truncated_svd(D, 5, seed=3), svd.truncated_svd(A, 5, seed=3)
         assert np.array_equal(ours.right_vectors, scipys.right_vectors)
         assert np.array_equal(ours.singular_values, scipys.singular_values)
         assert np.array_equal(svd.project(D, ours), svd.project(A, scipys))
+
+        big = DocTermMatrix(csr(sp.random(3000, 400, density=0.05, random_state=2)))
+        p = 20
+        all_terms = big.nnz * (p + svd.OVERSAMPLE) * 8  # every weight * row product at once
+        tracemalloc.start()
+        try:
+            result = svd.truncated_svd(big, p, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < all_terms / 2
+        assert kept < result.right_vectors.nbytes + (1 << 16)
 
     def test_rank_too_large(self):
         with pytest.raises(RankTooLargeError):
@@ -120,6 +133,37 @@ class TestFixSigns:
         before = V.copy()
         np.testing.assert_array_equal(svd._fix_signs(V), [[-1.0, 3.0], [2.0, -0.5]])
         np.testing.assert_array_equal(V, before)
+
+
+class TestSparseProducts:
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 24), st.integers(1, 24)), density=st.floats(0, 1),
+           width=st.sampled_from([1, 2, 20]), order=st.sampled_from("CF"),
+           block=st.sampled_from([1, 3, svd.BLOCK]), full_row=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_give_scipys_bits(self, shape, density, width, order, block, full_row,
+                                       seed):
+        """A @ X, A.T @ Y and Y.T @ A as (A.T @ Y).T equal scipy's bit for bit, signed
+        zeros included, over empty rows and columns, a full row, C- and F-ordered
+        operands and blocks that split the segments."""
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        M = rng.standard_normal(shape) * (rng.random(shape) < density)
+        M[rng.random(n) < 0.3] = 0.0  # empty rows
+        M[:, rng.random(m) < 0.3] = 0.0  # empty columns
+        if full_row:
+            M[rng.integers(n)] = rng.standard_normal(m)
+        S, D = sp.csr_matrix(M), DocTermMatrix(csr(M))
+        X, Y = (np.asarray(rng.standard_normal((k, width)) * (rng.random((k, width)) < 0.5),
+                           order=order) for k in (m, n))  # zeros make signed zero products
+        with mock.patch.object(svd, "BLOCK", block):
+            got, got_t = svd._product(D)(X), svd._product(D, transpose=True)(Y)
+        for ours, scipys in ((got, S @ X), (got_t, S.T @ Y), (got_t.T, Y.T @ S)):
+            scipys = np.asarray(scipys)
+            assert ours.shape == scipys.shape
+            assert np.array_equal(ours, scipys)
+            assert np.array_equal(np.signbit(ours), np.signbit(scipys))
+        assert got.flags.c_contiguous and got_t.flags.c_contiguous
 
 
 class TestProjection:

@@ -363,7 +363,8 @@ class TestCsrMatrix:
         index = data.draw(st.lists(st.integers(0, max(shape[0] - 1, 0)), max_size=8)
                           if shape[0] else st.just([]))
         start, stop = data.draw(st.integers(0, shape[0])), data.draw(st.integers(0, shape[0]))
-        for picked in (np.array(index, dtype=np.int64), slice(start, stop), slice(None)):
+        for picked in (np.array(index, dtype=np.int64), slice(start, stop), slice(None),
+                       slice(start, stop, 2), slice(stop, start, -1)):
             got = X.rows(picked)
             assert got.dtype == np.float64 and got.shape[1] == shape[1]
             assert np.array_equal(got, dense(X)[picked])
