@@ -284,32 +284,26 @@ def _train(layers, X, cfg, rng, rate):
     return trace
 
 
-def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng,
-                   dtype=np.float64) -> np.ndarray | None:
-    """Fit one denoising autoencoder pair on the previous clean activations.
-
-    Trains the given layers in place and returns the next clean
-    representation H_next = g(W1 H_prev + b1), computed without dropout and
-    stored in dtype; dtype None skips it and returns None.
-    """
+def pretrain_layer(H_prev, enc_layer: DenseLayer, dec_layer: DenseLayer, cfg, rng) -> None:
+    """Fit one denoising autoencoder pair, in place, on the previous clean activations."""
     _train([enc_layer, dec_layer], H_prev, cfg, rng, cfg.dropout_rate)
-    return None if dtype is None else _infer([enc_layer], H_prev, dtype)
 
 
 def greedy_pretrain(X, model: AutoencoderModel, cfg: TrainConfig) -> None:
     """Pretrain each encoder layer in order as a denoising autoencoder.
 
-    Layer i trains on the clean activations of layer i-1 (the raw data for
-    i = 0), paired with its mirrored decoder layer; both are trained in
-    place in the model. Only _train reads the last pair's input, so it is
-    stored in TRAIN_DTYPE, and nothing reads the last pair's output.
+    Layer i, paired with its mirrored decoder layer, trains on the clean activations
+    of the trained layers below it: X itself for i = 0, else X inferred through
+    layers 0..i-1 and stored in TRAIN_DTYPE, the dtype _train reads it in. Only one
+    pair's input is alive at a time. Both layers are trained in place in the model.
     """
     rng = np.random.default_rng(cfg.seed)
-    last = len(model.encoder_layers) - 1
-    dtypes = {last - 1: TRAIN_DTYPE, last: None}
     H = X
     for i, (enc, dec) in enumerate(zip(model.encoder_layers, reversed(model.decoder_layers))):
-        H = pretrain_layer(H, enc, dec, cfg, rng, dtypes.get(i, np.float64))
+        if i:
+            del H  # free the previous pair's input before the next one is inferred
+            H = _infer(model.encoder_layers[:i], X, TRAIN_DTYPE)
+        pretrain_layer(H, enc, dec, cfg, rng)
 
 
 def fine_tune(X, model: AutoencoderModel, cfg: TrainConfig) -> list[float]:

@@ -100,6 +100,27 @@ def reference_infer(layers, X, dtype=np.float64):
     return reference_forward(layers, dense(X))[0].astype(dtype)
 
 
+def check_pair_inputs(monkeypatch, model, X, same):
+    """Wrap pretrain_layer: pair 0 must get X itself, and pair i >= 1, once pairs 0..i-1
+    have trained, the float32 cast of reference_infer through them, compared with same.
+    Returns the list of pairs checked, filled as they train."""
+    index = {id(layer): i for i, layer in enumerate(model.encoder_layers)}
+    real_pretrain, checked = ae.pretrain_layer, []
+
+    def pretrain_layer(H, enc, dec, cfg, rng):
+        i = index[id(enc)]
+        if i == 0:
+            assert H is X
+        else:
+            want = reference_infer(model.encoder_layers[:i], X).astype(ae.TRAIN_DTYPE)
+            assert H.dtype == ae.TRAIN_DTYPE and same(H, want)
+        checked.append(i)
+        return real_pretrain(H, enc, dec, cfg, rng)
+
+    monkeypatch.setattr(ae, "pretrain_layer", pretrain_layer)
+    return checked
+
+
 def _flat(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
@@ -333,13 +354,29 @@ class TestTrainingMemory:
         assert peak < 14 * n_params
         assert 4 * n_params <= at_rest < 4.1 * n_params
 
+    def test_greedy_pretrain_holds_one_pair_input(self):
+        """Each pair's input is inferred from X once the previous one is freed and is
+        stored in float32, so the peak stays under two float32 copies of the widest
+        hidden layer's activations."""
+        n = 8 * ae.INFER_BATCH
+        X = np.random.default_rng(0).normal(size=(n, 32))
+        model = ae.build_autoencoder(32, 2, seed=0, hidden_dims=(32, 256, 256))
+        cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=0)
+        tracemalloc.start()
+        try:
+            ae.greedy_pretrain(X, model, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 256 * 4
+
 
 class TestTrainDtype:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_training_and_trained_layers_use_train_dtype(self, monkeypatch, sparse):
         """Every training array and every trained layer is TRAIN_DTYPE. Inference runs in
-        float64 and stores its result in float64, except the last pretraining pair's
-        input, which only training reads: that is stored in TRAIN_DTYPE."""
+        float64 and stores its result in float64, except the pretraining pairs' inputs,
+        which only training reads: those are stored in TRAIN_DTYPE."""
         X = np.random.default_rng(0).normal(size=(20, 12))
         if sparse:
             X = csr(sp.random(20, 12, density=0.5, random_state=0, format="csr"))
@@ -387,8 +424,8 @@ class TestTrainDtype:
         assert seen["masks"] == 3 * 2 * 2 * 3  # 3 pairs, 2 epochs, 3 batches, 2 masks a batch
         assert seen["infer"] and all(a.dtype == np.float64 for a in seen["infer"])
         assert all(a.dtype == ae.TRAIN_DTYPE for a in seen["train"])
-        # H1, then H2, the last pair's input, then the codes
-        assert [a.dtype for a in seen["stored"]] == [np.float64, ae.TRAIN_DTYPE, np.float64]
+        # H1 and H2, the inputs of pairs 1 and 2, then the codes
+        assert [a.dtype for a in seen["stored"]] == [ae.TRAIN_DTYPE, ae.TRAIN_DTYPE, np.float64]
         for a in (a for layer in model.layers for a in (layer.weights, layer.bias)):
             assert a.dtype == ae.TRAIN_DTYPE
 
@@ -430,27 +467,22 @@ class TestTraining:
             epochs=400, batch_size=32, dropout_rate=0.0, learning_rate=5e-3, seed=2
         )
         enc, dec = model.encoder_layers[0], model.decoder_layers[-1]
-        H_next = ae.pretrain_layer(H, enc, dec, cfg, np.random.default_rng(2))
+        assert ae.pretrain_layer(H, enc, dec, cfg, np.random.default_rng(2)) is None
         pair = ae.AutoencoderModel([enc], [dec])
         assert reconstruction_loss(pair, H) < 1e-4
-        assert H_next.shape == (32, 8)
 
-    def test_greedy_pretrain_uses_clean_activations(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(16, 6))
+    def test_greedy_pretrain_uses_clean_activations(self, monkeypatch):
+        """Pair i trains on X itself for i = 0, else on the float32 cast of the clean
+        float64 pass of X through the trained encoder layers below it, bit for bit."""
+        X = np.random.default_rng(0).normal(size=(16, 6))
         model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4))
-        cfg = ae.TrainConfig(epochs=3, batch_size=8, seed=3)
-        ae.greedy_pretrain(X, model, cfg)
-        # Recompute layer-1 clean activations from scratch: layer 2's
-        # training input must equal g(W1 X + b1) with the copied weights.
-        H1 = np.maximum(
-            X @ model.encoder_layers[0].weights.T + model.encoder_layers[0].bias, 0.0
-        )
-        assert H1.shape == (16, 5)
-        assert np.all(np.isfinite(model.encoder_layers[1].weights))
+        checked = check_pair_inputs(monkeypatch, model, X, lambda a, b: a.tobytes() == b.tobytes())
+        ae.greedy_pretrain(X, model, ae.TrainConfig(epochs=3, batch_size=8, seed=3))
+        assert checked == [0, 1, 2]
 
     def test_greedy_pretrain_infers_no_codes(self, monkeypatch):
-        """Four pairs train and three inferences run, none through the code layer."""
+        """Four pairs train, and each later pair's input is inferred from X through the
+        trained layers below it, never through the code layer."""
         X = np.random.default_rng(0).normal(size=(16, 6))
         model = ae.build_autoencoder(6, 2, seed=1, hidden_dims=(5, 4, 7))
         real_pretrain, real_infer = ae.pretrain_layer, ae._infer
@@ -469,7 +501,7 @@ class TestTraining:
         monkeypatch.setattr(ae, "_infer", infer)
         ae.greedy_pretrain(X, model, ae.TrainConfig(epochs=1, batch_size=8, seed=3))
         assert pretrained == [0, 1, 2, 3]
-        assert inferred == [[0], [1], [2]]
+        assert inferred == [[0], [0, 1], [0, 1, 2]]
 
     def test_greedy_pretrain_trains_model_layers_in_place(self):
         X = np.random.default_rng(0).normal(size=(16, 6))
@@ -639,7 +671,7 @@ class TestMatchesReferenceForward:
         assert np.array_equal(params, params_ref)
 
     @pytest.mark.parametrize("n", [ae.INFER_BATCH, 2 * ae.INFER_BATCH + 5])
-    def test_h_next_encode_and_decode(self, n):
+    def test_h_next_encode_and_decode(self, monkeypatch, n):
         # Past one block, BLAS may round some elements differently than in
         # the whole product, so only n <= INFER_BATCH is bit for bit.
         def same(a, b):
@@ -648,9 +680,9 @@ class TestMatchesReferenceForward:
         X = csr(sp.random(n, 12, density=0.5, random_state=0, format="csr"))
         model = ae.build_autoencoder(12, 3, seed=1, hidden_dims=(8, 6))
         cfg = ae.TrainConfig(epochs=1, batch_size=256, seed=4)
-        enc = model.encoder_layers[0]
-        H_next = ae.pretrain_layer(X, enc, model.decoder_layers[-1], cfg, np.random.default_rng(4))
-        assert same(H_next, reference_infer([enc], X))
+        checked = check_pair_inputs(monkeypatch, model, X, same)
+        ae.greedy_pretrain(X, model, cfg)
+        assert checked == [0, 1, 2]
         codes = ae.encode(model, X)
         assert same(codes, reference_infer(model.encoder_layers, X))
         assert same(ae.decode(model, codes), reference_infer(model.decoder_layers, codes))
