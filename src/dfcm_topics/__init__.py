@@ -15,7 +15,6 @@ from .fcm import FcmConfig, FcmResult, fcm_fit, kmeans_init
 from .svd import TruncatedSvd, back_project, project, truncated_svd
 from .textprep import (
     CsrMatrix,
-    DocTermMatrix,
     TokenStream,
     Vocabulary,
     build_vocabulary,

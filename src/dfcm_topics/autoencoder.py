@@ -235,10 +235,8 @@ class _Optimizer:
 
 
 def _rows(X, index, dtype=np.float64):
-    """The rows index picks of X as a dense dtype block. X is an array or a CsrMatrix;
-    another library's sparse matrix is read through its toarray."""
-    block = X.rows(index) if isinstance(X, CsrMatrix) else X[index]
-    return np.asarray(block.toarray() if hasattr(block, "toarray") else block, dtype)
+    """The rows index picks of X, an array or a CsrMatrix, as a dense dtype block."""
+    return np.asarray(X.rows(index) if isinstance(X, CsrMatrix) else X[index], dtype)
 
 
 def _dropout_mask(shape, rate, rng):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import coherence, textprep, topics
 from .autoencoder import TrainConfig, save_checkpoint
-from .errors import ConfigError, DfcmError, NonFiniteInputError, NonFiniteLossError
+from .errors import ConfigError, DfcmError, NumericalError
 from .fcm import FcmConfig, check_cluster_count
 from .seeding import stage_seed
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    except (NonFiniteLossError, NonFiniteInputError) as exc:
+    except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
     except (DfcmError, OSError) as exc:

@@ -25,11 +25,15 @@ class EmptyClusterError(DfcmError):
     """A cluster's membership weights summed to zero."""
 
 
-class NonFiniteInputError(DfcmError):
+class NumericalError(DfcmError):
+    """Values left, or would leave, the finite floating-point range."""
+
+
+class NonFiniteInputError(NumericalError):
     """Input contains NaN or Inf."""
 
 
-class NonFiniteLossError(DfcmError):
+class NonFiniteLossError(NumericalError):
     """Training loss became NaN or Inf."""
 
 

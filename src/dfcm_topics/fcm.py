@@ -13,6 +13,7 @@ from .errors import (
     EmptyClusterError,
     InvalidFuzzifierError,
     NonFiniteInputError,
+    NumericalError,
     TooFewPointsError,
 )
 
@@ -163,22 +164,30 @@ def check_cluster_count(n: int, c: int) -> None:
         raise TooFewPointsError(f"{n} points < {c} clusters")
 
 
-def _points(X, c: int) -> np.ndarray:
-    """X as float64, checked finite and with at least c rows."""
+def _points(X, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64, checked finite and with at least c rows, and its squared row norms xx.
+
+    A centre is a weighted mean of the points, so a squared distance is at most
+    4 max(xx), the pruning bounds' squares at most 16 max(xx) and a sum over the
+    points at most 4 n max(xx): X is refused unless 16 n max(xx) is finite.
+    """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise NonFiniteInputError("data matrix contains NaN or Inf")
     check_cluster_count(X.shape[0], c)
-    return X
+    with np.errstate(over="ignore"):
+        xx = np.sum(X**2, axis=1)
+        if not np.isfinite(16.0 * len(X) * xx.max()):
+            raise NumericalError("data matrix values too large for squared distances")
+    return X, xx
 
 
 def kmeans_init(X: np.ndarray, c: int, runs: int, seed: int) -> np.ndarray:
     """Best of `runs` k-means++/Lloyd runs by within-cluster SSE."""
     if runs < 1:
         raise ValueError("init_runs must be >= 1")
-    X = _points(X, c)
+    X, xx = _points(X, c)
     rng = np.random.default_rng(seed)
-    xx = np.sum(X**2, axis=1)
     d2 = np.empty((c, X.shape[0]))
     best_centers, best_sse = None, np.inf
     for _ in range(runs):
@@ -246,14 +255,13 @@ def fcm_fit(X: np.ndarray, config: FcmConfig, init: np.ndarray) -> FcmResult:
     The convergence check is skipped on the first iteration (there is no
     previous membership matrix). Deterministic given init.
     """
-    X = _points(X, config.c)
+    X, xx = _points(X, config.c)
     Q = np.asarray(init, dtype=np.float64)
     if Q.shape != (config.c, X.shape[1]):
         raise DimensionMismatchError(f"init shape {Q.shape} != {(config.c, X.shape[1])}")
     if not np.all(np.isfinite(Q)):
         raise NonFiniteInputError("init centroids contain NaN or Inf")
     trace: list[float] = []
-    xx = np.sum(X**2, axis=1)
     # The (c, n) buffers of the fit: M and M_prev swap each iteration, and
     # W = M^f is the memberships' F-ordered work array until M is written.
     M, M_prev, W = (np.empty((len(Q), X.shape[0])) for _ in range(3))

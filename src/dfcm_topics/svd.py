@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RankTooLargeError
+from .errors import DimensionMismatchError, NumericalError, RankTooLargeError
 from .textprep import CsrMatrix
 
 OVERSAMPLE = 10
@@ -57,19 +57,19 @@ def _sums(blocks, X, n):
     Xp = np.zeros((len(X) + 1, max(width, 2)))
     Xp[:-1, :width] = X
     out = np.zeros((n, Xp.shape[1]))
-    for seg, ids, weights in blocks:
-        terms = np.take(Xp, ids, axis=0)
-        np.multiply(terms, weights[..., None], out=terms)
-        out[seg] = np.add.reduce(terms, axis=0, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf; callers check
+        for seg, ids, weights in blocks:
+            terms = np.take(Xp, ids, axis=0)
+            np.multiply(terms, weights[..., None], out=terms)
+            out[seg] = np.add.reduce(terms, axis=0, initial=0.0)
     return np.ascontiguousarray(out[:, :width])
 
 
-def _product(D, transpose=False):
-    """X -> A @ X, or A.T @ X, for D's matrix A. A CsrMatrix's products are summed from
-    its arrays in the order of the usual compressed-sparse kernels (csr_matvecs and
-    csc_matvecs), whose bits they give: a row of A in stored order, a column in
-    increasing row order. Anything else goes through @."""
-    A = getattr(D, "matrix", D)
+def _product(A, transpose=False):
+    """X -> A @ X, or A.T @ X. A CsrMatrix's products are summed from its arrays in the
+    order of the usual compressed-sparse kernels (csr_matvecs and csc_matvecs), whose
+    bits they give: a row of A in stored order, a column in increasing row order. A
+    dense array's go through @."""
     if not isinstance(A, CsrMatrix):
         return lambda X: np.asarray((A.T if transpose else A) @ X)
     ptr, order, ids, n = A.indptr, None, A.indices, A.shape[0]
@@ -88,13 +88,14 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 
 def truncated_svd(D, p: int, seed: int = 0) -> TruncatedSvd:
-    """Top-p singular triplets via randomized block power iteration.
+    """Top-p singular triplets of D, a CsrMatrix or a dense array, via randomized block
+    power iteration.
 
     Gaussian range sketch with fixed oversampling, re-orthonormalized
     power iterations, then an exact SVD of the small projected matrix.
     Deterministic per seed.
     """
-    n, m = getattr(D, "matrix", D).shape
+    n, m = D.shape
     if p > min(n, m):
         raise RankTooLargeError(f"rank {p} exceeds min(({n}, {m}))")
     rng = np.random.default_rng(seed)
@@ -107,13 +108,15 @@ def truncated_svd(D, p: int, seed: int = 0) -> TruncatedSvd:
         W, _ = np.linalg.qr(times_t(Q))
         Q, _ = np.linalg.qr(times(W))
     B = times_t(Q).T  # Q.T @ A, (l, m), computed as a sparse matrix computes it
+    if not np.isfinite(B).all():  # QR and the SVD pass inf and NaN on, or fail to converge
+        raise NumericalError("truncated SVD overflowed: the matrix's weights are too large")
     _, s, Vt = np.linalg.svd(B, full_matrices=False)
     return TruncatedSvd(p, _fix_signs(Vt[:p].T), s[:p])
 
 
 def project(D, svd: TruncatedSvd) -> np.ndarray:
     """Document coordinates in the eigenspace: D @ V_p."""
-    m = getattr(D, "matrix", D).shape[1]
+    m = D.shape[1]
     if m != svd.right_vectors.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {m} columns, SVD expects {svd.right_vectors.shape[0]}"

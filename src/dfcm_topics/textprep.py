@@ -141,52 +141,46 @@ def build_vocabulary(stream: TokenStream, stopwords: set[str]) -> Vocabulary:
 @dataclass
 class CsrMatrix:
     """Canonical compressed sparse rows: row r's entries sit at indptr[r]:indptr[r + 1]
-    of indices and data, with the columns increasing, so no (row, col) repeats."""
+    of indices and data, with the columns increasing, so no (row, col) repeats. The
+    document-term matrix is one: documents x terms, TF-IDF weights >= 0."""
 
     data: np.ndarray  # float64
     indices: np.ndarray  # int32
     indptr: np.ndarray  # int64, one more than the rows
     shape: tuple[int, int]
 
+    @property
+    def n_docs(self) -> int:
+        return self.shape[0]
+
+    @property
+    def n_terms(self) -> int:
+        return self.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def matrix(self) -> "CsrMatrix":
+        """Itself; only perfbench/bench_trace.py's _attrs reads it, as D.matrix.shape."""
+        return self
+
     def rows(self, index) -> np.ndarray:
         """Dense float64 block of the rows that index (a slice or an integer array) picks."""
-        if isinstance(index, slice) and index.step in (None, 1):  # stored contiguously
-            start, stop, _ = index.indices(self.shape[0])
-            ptr = self.indptr[start : max(start, stop) + 1]
-            lengths, at = np.diff(ptr), slice(ptr[0], ptr[-1])
-        else:
-            if isinstance(index, slice):
-                index = np.arange(*index.indices(self.shape[0]))
-            starts = self.indptr[index]
-            lengths = self.indptr[np.add(index, 1)] - starts
-            # The block's entry k, in picked row i, is stored at starts[i] + k - offsets[i].
-            offsets = np.cumsum(lengths) - lengths
-            at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(self.shape[0]))
+        starts = self.indptr[index]
+        lengths = self.indptr[np.add(index, 1)] - starts
+        # The block's entry k, in picked row i, is stored at starts[i] + k - offsets[i].
+        offsets = np.cumsum(lengths) - lengths
+        at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
         out = np.zeros((len(lengths), self.shape[1]))
         out[np.repeat(np.arange(len(lengths)), lengths), self.indices[at]] = self.data[at]
         return out
 
 
-@dataclass
-class DocTermMatrix:
-    """Sparse nonnegative TF-IDF matrix, documents x terms."""
-
-    matrix: CsrMatrix
-
-    @property
-    def n_docs(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_terms(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.matrix.data)
-
-
-def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> DocTermMatrix:
+def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> CsrMatrix:
     """TF-IDF weight the corpus against a fixed vocabulary.
 
     tf is the raw in-document count, idf the smoothed ln((1+N)/(1+df)) + 1.
@@ -219,7 +213,7 @@ def vectorize_tfidf(stream: TokenStream, vocab: Vocabulary) -> DocTermMatrix:
         data[at] = tf * idf[cols[at]]
         ptr[first + 1 : end + 1] = nnz + np.searchsorted(keys, np.arange(1, end - first + 1) * m)
         nnz = at.stop
-    return DocTermMatrix(CsrMatrix(data[:nnz], cols[:nnz], ptr, (n_docs, m)))
+    return CsrMatrix(data[:nnz], cols[:nnz], ptr, (n_docs, m))
 
 
 @contextlib.contextmanager
@@ -324,17 +318,16 @@ def load_vocabulary(path) -> Vocabulary:
     return load_json(path, lambda d: Vocabulary(d["terms"], d["doc_freq"], d["threshold"]))
 
 
-def save_matrix(dtm: DocTermMatrix, path) -> None:
+def save_matrix(mat: CsrMatrix, path) -> None:
     """Write the sparse triplet text format.
 
     Header line `n_docs n_terms nnz`, then one `row col weight` line per
     stored entry in (row, col) order, weights printed with 17 significant digits.
     """
-    mat = dtm.matrix
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dtm.n_docs} {dtm.n_terms} {dtm.nnz}\n")
-        for start in range(0, dtm.nnz, WRITE_CHUNK):
-            stop = min(start + WRITE_CHUNK, dtm.nnz)
+        fh.write(f"{mat.n_docs} {mat.n_terms} {mat.nnz}\n")
+        for start in range(0, mat.nnz, WRITE_CHUNK):
+            stop = min(start + WRITE_CHUNK, mat.nnz)
             # Each row this chunk spans, repeated for its entries in the chunk.
             first, last = np.searchsorted(mat.indptr, [start, stop - 1], "right") - 1
             spans = np.diff(np.clip(mat.indptr[first : last + 2], start, stop))
@@ -371,7 +364,7 @@ def _parse_entries(path, lines, first) -> np.ndarray:
     return block
 
 
-def load_matrix(path) -> DocTermMatrix:
+def load_matrix(path) -> CsrMatrix:
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -424,8 +417,7 @@ def load_matrix(path) -> DocTermMatrix:
             raise MalformedLineError.at(path, f"duplicate entry {where}", line)
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
-    matrix = CsrMatrix(np.ascontiguousarray(vals), cols.astype(np.int32), indptr, (n_docs, n_terms))
-    return DocTermMatrix(matrix)
+    return CsrMatrix(np.ascontiguousarray(vals), cols.astype(np.int32), indptr, (n_docs, n_terms))
 
 
 def prepare_corpus(path, stopwords: set[str]):

@@ -16,7 +16,7 @@ from . import svd as tsvd
 from .errors import DimensionMismatchError, MalformedLineError
 from .fcm import FcmConfig, FcmResult, check_cluster_count, fcm_fit, kmeans_init
 from .seeding import stage_seed
-from .textprep import DocTermMatrix, Vocabulary, load_json, save_json
+from .textprep import CsrMatrix, Vocabulary, load_json, save_json
 
 
 METHODS = ("dfcm", "efcm")
@@ -83,15 +83,15 @@ def extract_top_words(mu: np.ndarray, vocab: Vocabulary, n: int) -> list[tuple[s
     return [(vocab.terms[j], float(mu[j])) for j in keep]
 
 
-def represent(D: DocTermMatrix, cfg: PipelineConfig) -> Representation:
+def represent(D: CsrMatrix, cfg: PipelineConfig) -> Representation:
     """Map the documents to p-dimensional codes: autoencoder (dfcm) or truncated SVD (efcm)."""
     if cfg.method == "efcm":
         decomp = tsvd.truncated_svd(D, cfg.p, seed=stage_seed(cfg.seed, "svd"))
         return Representation(tsvd.project(D, decomp), lambda C: tsvd.back_project(C, decomp))
     model = ae.build_autoencoder(D.n_terms, cfg.p, seed=stage_seed(cfg.seed, "init"))
-    ae.greedy_pretrain(D.matrix, model, cfg.train)
-    trace = ae.fine_tune(D.matrix, model, cfg.train)
-    return Representation(ae.encode(model, D.matrix), lambda C: ae.decode(model, C), model, trace)
+    ae.greedy_pretrain(D, model, cfg.train)
+    trace = ae.fine_tune(D, model, cfg.train)
+    return Representation(ae.encode(model, D), lambda C: ae.decode(model, C), model, trace)
 
 
 def cluster_topics(
@@ -107,7 +107,7 @@ def cluster_topics(
 
 
 def detect(
-    D: DocTermMatrix, vocab: Vocabulary, cfg: PipelineConfig
+    D: CsrMatrix, vocab: Vocabulary, cfg: PipelineConfig
 ) -> tuple[Representation, TopicSet, FcmResult]:
     check_cluster_count(D.n_docs, cfg.c)  # before represent trains anything
     rep = represent(D, cfg)

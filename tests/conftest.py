@@ -29,7 +29,7 @@ def dense(X) -> np.ndarray:
 
 def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
     """Exact dense decomposition: the test oracle for truncated_svd on small matrices."""
-    A = dense(getattr(D, "matrix", D))
+    A = dense(D)
     if p > min(A.shape):
         raise RankTooLargeError(f"rank {p} exceeds min{A.shape}")
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -37,7 +37,7 @@ def dense_truncated_svd(D, p: int) -> svd.TruncatedSvd:
 
 
 def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabulary
-                              ) -> textprep.DocTermMatrix:
+                              ) -> textprep.CsrMatrix:
     """vectorize_tfidf as it was with one term-id list per document and scipy's CSR
     build: the bit-for-bit oracle of the flat id array and of the numpy build."""
     n_docs = len(corpus)
@@ -49,7 +49,7 @@ def reference_vectorize_tfidf(corpus: list[list[str]], vocab: textprep.Vocabular
     cols = np.fromiter(itertools.chain.from_iterable(ids), np.int64, indptr[-1])
     mat = csr((np.ones(len(cols)), cols, indptr), shape=(n_docs, len(vocab)))  # repeats summed
     mat.data *= idf[mat.indices]
-    return textprep.DocTermMatrix(mat)
+    return mat
 
 
 def token_stream(corpus: list[list[str]]) -> textprep.TokenStream:

@@ -734,11 +734,6 @@ class TestEncodeDecode:
         sparse = ae.encode(model, csr(X))
         np.testing.assert_allclose(sparse, dense, atol=1e-12)
 
-    def test_scipy_matrix_is_read_through_toarray(self):
-        model = ae.build_autoencoder(30, 4, seed=0, hidden_dims=(8,))
-        X = sp.random(11, 30, density=0.2, random_state=0, format="csr")
-        assert np.array_equal(ae.encode(model, X), ae.encode(model, csr(X)))
-
     def test_single_row_matches_batch(self):
         model = ae.build_autoencoder(12, 3, seed=5, hidden_dims=(6,))
         X = np.random.default_rng(1).normal(size=(7, 12))

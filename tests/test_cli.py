@@ -606,18 +606,24 @@ def test_too_many_clusters_fail_before_the_representation(artifacts, tmp_path, m
     assert not represent.called
 
 
-def test_overflowing_training_loss_exits_3_without_a_numpy_warning(artifacts, tmp_path):
-    """A weight of 2e19 squares past float32's range: detect reports only NonFiniteLossError."""
+@pytest.mark.parametrize("method, weight, named", [
+    ("dfcm", "2e19", "training loss became inf"),  # squares past float32's range
+    ("efcm", "1e308", "truncated SVD overflowed"),  # its products overflow float64
+    ("efcm", "1e160", "data matrix values too large"),  # finite codes whose squares are not
+], ids=["dfcm-2e19", "efcm-1e308", "efcm-1e160"])
+def test_overflowing_training_loss_exits_3_without_a_numpy_warning(artifacts, tmp_path, method,
+                                                                   weight, named):
+    """One huge weight: detect reports only the named numerical error."""
     lines = (artifacts / "matrix.txt").read_text().splitlines()
     row, col, _ = lines[4].split()
-    lines[4] = f"{row} {col} 2e19"
+    lines[4] = f"{row} {col} {weight}"
     matrix = tmp_path / "matrix.txt"
     matrix.write_text("\n".join(lines) + "\n")
-    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method="dfcm",
+    cfg = _write_config(tmp_path / "cfg.json", artifacts, tmp_path / "run", method=method,
                         paths={"matrix": str(matrix)})
     proc = _run_cli(["detect", "--config", str(cfg), "--seed", "1"])
     assert proc.returncode == cli.EXIT_NUMERICAL
-    assert "training loss became inf" in proc.stderr
+    assert f"numerical failure: {named}" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
 

@@ -11,6 +11,7 @@ from dfcm_topics.errors import (
     EmptyClusterError,
     InvalidFuzzifierError,
     NonFiniteInputError,
+    NumericalError,
     TooFewPointsError,
 )
 
@@ -300,6 +301,19 @@ class TestKmeansInit:
             fcm.kmeans_init(X, 2, runs=1, seed=0)
         with pytest.raises(NonFiniteInputError):
             fcm.kmeans_init(np.array([[np.nan]]), 1, runs=1, seed=0)
+
+    def test_points_too_large_to_square_are_a_numerical_error(self):
+        # 1e160 is finite and its square is not. At the largest accepted scale, where
+        # 16 n max(xx) is just finite, both stages run without a numpy warning.
+        X = np.array([[0.0, 1.0], [1e160, 0.0], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match="^data matrix values too large"):
+            fcm.kmeans_init(X, 2, runs=1, seed=0)
+        with pytest.raises(NumericalError, match="^data matrix values too large"):
+            fcm.fcm_fit(X, fcm.FcmConfig(c=2), X[:2])
+        scale = np.sqrt(np.finfo(np.float64).max / 64)  # 16 * 3 * scale**2 is finite
+        big = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
+        init = fcm.kmeans_init(big, 2, runs=3, seed=0)
+        assert fcm.fcm_fit(big, fcm.FcmConfig(c=2), init).converged
 
     def test_zero_runs_rejected_as_by_the_config(self):
         with pytest.raises(ValueError, match="^init_runs must be >= 1$"):

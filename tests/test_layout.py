@@ -2,14 +2,18 @@
 
 Every top-level function, class and method in src/dfcm_topics/ has a user
 in the package or in perfbench/, every name a module imports is read by that
-module, and every function that the traced benchmark wraps by name exists.
-The checks read the source; none runs the benchmark.
+module, every function that the traced benchmark wraps by name exists, and
+the attributes its spans read are there. Only the last check runs the CLI,
+under the benchmark's wrappers, on a small planted corpus.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from conftest import planted_corpus, write_planted_embeddings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dfcm_topics"
@@ -91,13 +95,48 @@ def test_unused_import_check_flags_only_unread_names():
     assert _unused_imports(tree) == ["e"]
 
 
-def test_every_function_the_traced_benchmark_wraps_exists():
+def _bench_trace():
     spec = importlib.util.spec_from_file_location("bench_trace", BENCH / "bench_trace.py")
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)  # its top-level imports are the standard library's
+    return bench_trace
+
+
+def test_every_function_the_traced_benchmark_wraps_exists():
     missing = [
         f"dfcm_topics.{module}.{attr}"
-        for module, attr, _ in bench_trace.WRAPPED
+        for module, attr, _ in _bench_trace().WRAPPED
         if not callable(getattr(importlib.import_module(f"dfcm_topics.{module}"), attr, None))
     ]
     assert not missing, f"perfbench/bench_trace.py wraps names the package lacks: {missing}"
+
+
+def test_every_attribute_the_traced_benchmark_reads_exists(tmp_path, monkeypatch):
+    """vectorize and a compare over both methods under the benchmark's wrappers: a span's
+    attrs read its call's arguments and result, and a missing attribute raises."""
+    bench_trace = _bench_trace()
+    wrapped = bench_trace.WRAPPED
+    modules = {mod: importlib.import_module(f"dfcm_topics.{mod}") for mod, _, _ in wrapped}
+    for mod, attr, _ in wrapped:  # each original is put back at teardown
+        monkeypatch.setattr(modules[mod], attr, getattr(modules[mod], attr))
+    tracer = bench_trace.Tracer()
+    for mod, attr, name in wrapped:
+        tracer.wrap(modules[mod], attr, name)
+    sets, docs, _ = planted_corpus(0, n_docs=60)
+    corpus, embeddings, vec = (tmp_path / name for name in ("corpus.jsonl", "emb.txt", "vec"))
+    corpus.write_text("".join(json.dumps({"id": i, "text": " ".join(doc)}) + "\n"
+                              for i, doc in enumerate(docs)))
+    write_planted_embeddings(embeddings, sets)
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({
+        "dim": 2, "train": {"epochs": 1},
+        "compare": {"methods": ["dfcm", "efcm"], "clusters": [3]},
+        "paths": {"vocabulary": str(vec / "vocabulary.json"), "matrix": str(vec / "matrix.txt"),
+                  "embeddings": str(embeddings), "out_dir": str(tmp_path / "out")}}))
+    cli = modules["cli"]
+    assert cli.main(["vectorize", "--corpus", str(corpus), "--out-dir", str(vec)]) == 0
+    assert cli.main(["compare", "--config", str(config), "--seed", "1"]) == 0
+    with_attrs = {span["name"] for span in tracer.spans if span.get("attrs")}
+    assert with_attrs >= {
+        "textprep.prepare_corpus", "textprep.load_matrix", "svd.truncated_svd", "svd.project",
+        "autoencoder.pretrain_layer", "autoencoder.fine_tune", "autoencoder.encode"}

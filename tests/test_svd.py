@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dfcm_topics import svd
 from dfcm_topics.errors import DimensionMismatchError, RankTooLargeError
-from dfcm_topics.textprep import DocTermMatrix
 
 from conftest import csr, dense_truncated_svd
 
@@ -45,24 +44,24 @@ class TestTruncatedSvd:
 
     def test_sparse_input(self):
         A = sp.random(50, 30, density=0.2, random_state=5, format="csr")
-        result = svd.truncated_svd(DocTermMatrix(csr(A)), 4, seed=0)
+        result = svd.truncated_svd(csr(A), 4, seed=0)
         oracle = dense_truncated_svd(A.toarray(), 4)
         np.testing.assert_allclose(
             result.singular_values, oracle.singular_values, rtol=1e-6
         )
 
     def test_doc_term_matrix_is_wrapped_and_gives_scipys_bits(self):
-        """A DocTermMatrix is taken as it is: its products, summed from its own arrays,
-        give the bits of a scipy matrix built by scipy, which still goes through @. The
+        """A CsrMatrix's products, summed from its own arrays, give the bits of a scipy
+        matrix built by scipy, which goes through @ as a dense array does. The
         layouts they are summed through are built in blocks and freed on return."""
         A = sp.random(60, 40, density=0.1, random_state=2, format="csr")
-        D = DocTermMatrix(csr(A))
+        D = csr(A)
         ours, scipys = svd.truncated_svd(D, 5, seed=3), svd.truncated_svd(A, 5, seed=3)
         assert np.array_equal(ours.right_vectors, scipys.right_vectors)
         assert np.array_equal(ours.singular_values, scipys.singular_values)
         assert np.array_equal(svd.project(D, ours), svd.project(A, scipys))
 
-        big = DocTermMatrix(csr(sp.random(3000, 400, density=0.05, random_state=2)))
+        big = csr(sp.random(3000, 400, density=0.05, random_state=2))
         p = 20
         all_terms = big.nnz * (p + svd.OVERSAMPLE) * 8  # every weight * row product at once
         tracemalloc.start()
@@ -153,7 +152,7 @@ class TestSparseProducts:
         M[:, rng.random(m) < 0.3] = 0.0  # empty columns
         if full_row:
             M[rng.integers(n)] = rng.standard_normal(m)
-        S, D = sp.csr_matrix(M), DocTermMatrix(csr(M))
+        S, D = sp.csr_matrix(M), csr(M)
         X, Y = (np.asarray(rng.standard_normal((k, width)) * (rng.random((k, width)) < 0.5),
                            order=order) for k in (m, n))  # zeros make signed zero products
         with mock.patch.object(svd, "BLOCK", block):

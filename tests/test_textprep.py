@@ -178,33 +178,33 @@ class TestVectorizeTfidf:
                 [0.0, 1 * idf["b"], 1 * idf["c"]],
             ]
         )
-        np.testing.assert_allclose(dense(dtm.matrix), expected, rtol=1e-15)
+        np.testing.assert_allclose(dense(dtm), expected, rtol=1e-15)
 
     def test_ubiquitous_term_idf_is_one(self):
         corpus = [["x"], ["x"], ["x"]]
         vocab = _unpruned_vocab(corpus)
         dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
-        np.testing.assert_allclose(dense(dtm.matrix), [[1.0], [1.0], [1.0]])
+        np.testing.assert_allclose(dense(dtm), [[1.0], [1.0], [1.0]])
 
     def test_out_of_vocab_row_is_zero(self):
         corpus = [["a"], ["z"]]
         vocab = _unpruned_vocab([["a"]])
         dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
-        assert np.diff(dtm.matrix.indptr).tolist() == [1, 0]
+        assert np.diff(dtm.indptr).tolist() == [1, 0]
 
     def test_nonnegative_and_no_stored_zeros(self):
         corpus = [["a", "b"], ["b", "c"], ["a", "c"]]
         vocab = _unpruned_vocab(corpus)
         dtm = textprep.vectorize_tfidf(token_stream(corpus), vocab)
-        assert np.all(dtm.matrix.data > 0)
+        assert np.all(dtm.data > 0)
 
     def test_permutation_stability(self):
         corpus = [["a", "a", "b"], ["a", "c"], ["b", "c"]]
         vocab = _unpruned_vocab(corpus)
-        base = dense(textprep.vectorize_tfidf(token_stream(corpus), vocab).matrix)
+        base = dense(textprep.vectorize_tfidf(token_stream(corpus), vocab))
         perm = [2, 0, 1]
         shuffled = textprep.vectorize_tfidf(token_stream([corpus[i] for i in perm]), vocab)
-        np.testing.assert_array_equal(dense(shuffled.matrix), base[perm])
+        np.testing.assert_array_equal(dense(shuffled), base[perm])
 
 
 def reference_build_vocabulary(corpus, stopwords):
@@ -263,7 +263,7 @@ def assert_matches_reference(corpus, stopwords, vocab=None):
             return
         vocab = textprep.build_vocabulary(stream, stopwords)
         assert (vocab.terms, vocab.doc_freq, vocab.threshold) == expected
-    got, want = textprep.vectorize_tfidf(stream, vocab).matrix, reference_tfidf(corpus, vocab)
+    got, want = textprep.vectorize_tfidf(stream, vocab), reference_tfidf(corpus, vocab)
     assert got.shape == want.shape
     assert_canonical(got)
     for name in ("indptr", "indices", "data"):
@@ -324,7 +324,7 @@ class TestPrepareCorpusMatchesOracle:
         assert (got_vocab.terms, got_vocab.doc_freq, got_vocab.threshold) == (
             terms, doc_freq, threshold)
         vocab = textprep.Vocabulary(terms, doc_freq, threshold)
-        got, want = got.matrix, reference_vectorize_tfidf(token_lists, vocab).matrix
+        want = reference_vectorize_tfidf(token_lists, vocab)
         assert got.shape == want.shape
         assert_canonical(got)
         for name in ("data", "indices", "indptr"):
@@ -370,13 +370,12 @@ class TestCsrMatrix:
             assert np.array_equal(got, dense(X)[picked])
 
 
-def reference_save_matrix(dtm, path):
+def reference_save_matrix(m, path):
     """The per-entry writer save_matrix used to run, one write per line: its oracle."""
-    m = dtm.matrix
     coo = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dtm.n_docs} {dtm.n_terms} {coo.nnz}\n")
+        fh.write(f"{m.n_docs} {m.n_terms} {coo.nnz}\n")
         for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
             fh.write(f"{r} {c} {v:.17g}\n")
 
@@ -390,7 +389,7 @@ class TestSerialization:
     ], ids=["empty-rows-unsorted-tiny-huge", "unsorted-row", "zero-nnz"])
     def test_matrix_written_in_chunks_as_per_entry(self, tmp_path, monkeypatch,
                                                     chunk, data, indices, indptr, shape):
-        dtm = textprep.DocTermMatrix(csr((np.array(data), indices, indptr), shape=shape))
+        dtm = csr((np.array(data), indices, indptr), shape=shape)
         reference_save_matrix(dtm, tmp_path / "want.txt")
         monkeypatch.setattr(textprep, "WRITE_CHUNK", chunk)
         textprep.save_matrix(dtm, tmp_path / "got.txt")
@@ -404,7 +403,7 @@ class TestSerialization:
         textprep.save_matrix(dtm, path)
         loaded = textprep.load_matrix(path)
         assert loaded.n_docs == 3 and loaded.n_terms == 3
-        np.testing.assert_array_equal(dense(loaded.matrix), dense(dtm.matrix))
+        np.testing.assert_array_equal(dense(loaded), dense(dtm))
 
     def test_traced_load_peak_per_entry(self, tmp_path):
         # A canonical file, as save_matrix writes it. The parsed entries take 24 bytes
@@ -413,14 +412,14 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         X = csr(sp.random(2000, 300, density=0.05, random_state=rng))
         path = tmp_path / "matrix.txt"
-        textprep.save_matrix(textprep.DocTermMatrix(X), path)
+        textprep.save_matrix(X, path)
         tracemalloc.start()
         try:
             loaded = textprep.load_matrix(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(loaded.matrix.data, X.data)
+        assert np.array_equal(loaded.data, X.data)
         assert peak < 40 * len(X.data)
 
     @settings(max_examples=50, deadline=None,
@@ -445,7 +444,7 @@ class TestSerialization:
             assert str(err.value) == f"{path}: line {line}: duplicate entry ({r}, {c})"
             assert err.value.line_number == line
             return
-        got = textprep.load_matrix(path).matrix
+        got = textprep.load_matrix(path)
         assert_canonical(got)
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         want = csr((vals, (rows, cols)), shape=(4, 4))
@@ -453,12 +452,12 @@ class TestSerialization:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_repeated_entry_is_summed_written_and_read_back(self, tmp_path):
-        dtm = textprep.DocTermMatrix(csr(([0.25, 2.0, 0.5], [1, 0, 1], [0, 3, 3]), shape=(2, 2)))
+        dtm = csr(([0.25, 2.0, 0.5], [1, 0, 1], [0, 3, 3]), shape=(2, 2))
         assert dtm.nnz == 2
         path = tmp_path / "matrix.txt"
         textprep.save_matrix(dtm, path)
         assert path.read_text() == "2 2 2\n0 0 2\n0 1 0.75\n"
-        np.testing.assert_array_equal(dense(textprep.load_matrix(path).matrix),
+        np.testing.assert_array_equal(dense(textprep.load_matrix(path)),
                                       [[2.0, 0.75], [0.0, 0.0]])
 
     @settings(max_examples=50, deadline=None,
@@ -473,8 +472,8 @@ class TestSerialization:
         data = np.array([w / 4 for _, w in entries], dtype=np.float64)
         mat = csr((data, cols, indptr), shape=(len(rows), 4))
         path = tmp_path / "matrix.txt"
-        textprep.save_matrix(textprep.DocTermMatrix(mat), path)
-        loaded = textprep.load_matrix(path).matrix
+        textprep.save_matrix(mat, path)
+        loaded = textprep.load_matrix(path)
         assert_canonical(loaded)
         np.testing.assert_array_equal(dense(loaded), dense(mat))
 
@@ -485,7 +484,7 @@ class TestSerialization:
         path = tmp_path / "matrix.txt"
         path.write_bytes(((ending or "\n").join(lines) + ending).encode())
         monkeypatch.setattr(textprep, "ENTRY_CHUNK", chunk)
-        got = dense(textprep.load_matrix(path).matrix)
+        got = dense(textprep.load_matrix(path))
         expected = np.zeros((3, 4))
         for line in lines[1:]:
             r, c, v = line.split()
@@ -531,14 +530,14 @@ class TestSerialization:
         writer = threading.Thread(target=path.write_text, args=("2 2 2\n0 0 1\n1 1 2\n",))
         writer.start()
         try:
-            assert dense(textprep.load_matrix(path).matrix).tolist() == [[1, 0], [0, 2]]
+            assert dense(textprep.load_matrix(path)).tolist() == [[1, 0], [0, 2]]
         finally:
             writer.join()
 
     def test_header_nnz_at_its_bounds_is_accepted(self, tmp_path):
         path = tmp_path / "matrix.txt"
         path.write_text("1 2 2\n0 0 1\n0 1 1")  # nnz = n_docs * n_terms; 6 * nnz < 17 bytes
-        assert dense(textprep.load_matrix(path).matrix).tolist() == [[1.0, 1.0]]
+        assert dense(textprep.load_matrix(path)).tolist() == [[1.0, 1.0]]
 
     def test_extra_field_on_unterminated_last_line_is_named(self, tmp_path):
         path = tmp_path / "matrix.txt"
@@ -567,7 +566,7 @@ class TestSerialization:
 
         def outcome():
             try:
-                m = textprep.load_matrix(path).matrix
+                m = textprep.load_matrix(path)
                 return m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
             except MalformedLineError as exc:
                 return str(exc), exc.line_number
@@ -595,7 +594,7 @@ class TestSerialization:
             assert err.value.line_number == 3
             assert str(err.value).startswith(f"{path}: line 3: ")
         else:
-            mat = textprep.load_matrix(path).matrix
+            mat = textprep.load_matrix(path)
             assert len(mat.data) == 3 and dense(mat)[parsed[0], parsed[1]] == parsed[2]
 
     def test_regular_entries_skip_the_line_loop(self, tmp_path, monkeypatch):
@@ -603,7 +602,7 @@ class TestSerialization:
         path.write_text("3 3 3\n0 0 0.5\n1 2 3\n2 1 1e-3\n")
         monkeypatch.setattr(textprep, "ENTRY_CHUNK", 2)
         monkeypatch.setattr(textprep, "_parse_entries", mock.Mock(side_effect=AssertionError))
-        mat = textprep.load_matrix(path).matrix
+        mat = textprep.load_matrix(path)
         assert mat.indptr.tolist() == [0, 1, 2, 3] and mat.indices.tolist() == [0, 2, 1]
         assert mat.data.tolist() == [0.5, 3.0, 1e-3]
 

@@ -247,9 +247,7 @@ class TestPermutationInvariance:
         _, topic_set, _ = topics.detect(dtm, vocab, _pipeline_cfg("efcm", 6))
         rng = np.random.default_rng(0)
         perm = rng.permutation(dtm.n_docs)
-        from dfcm_topics.textprep import DocTermMatrix
-
-        shuffled = DocTermMatrix(csr(dense(dtm.matrix)[perm]))
+        shuffled = csr(dense(dtm)[perm])
         _, topic_set_p, _ = topics.detect(shuffled, vocab, _pipeline_cfg("efcm", 6))
         # Initialization samples points by index, so converged weights can
         # differ in the last digits; the recovered topic partition of the
